@@ -24,7 +24,6 @@ from .quad import (
     BumpFunction,
     BumpSum,
     CarlemanReport,
-    DegenerateWeightError,
     GridSpec,
     SupportViolationError,
     bump_eval,
@@ -77,7 +76,6 @@ __all__ = [
     "BumpFunction",
     "BumpSum",
     "CarlemanReport",
-    "DegenerateWeightError",
     "GridSpec",
     "SupportViolationError",
     "bump_eval",

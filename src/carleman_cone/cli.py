@@ -470,9 +470,7 @@ def _run_quadrature(cfg: RunConfig) -> tuple[int, Any, dict]:
             "lhs": r.lhs,
             "rhs": r.rhs,
             "ratio": r.ratio,
-            "log_normalizer": r.log_normalizer,
             "log_scale": r.log_scale,
-            "resolved_fraction": r.resolved_fraction,
             "grid": list(r.grid.counts),
             "rule": r.grid.rule,
             "pass": r.passed,

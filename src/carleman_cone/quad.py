@@ -24,12 +24,10 @@ terms keep their relative precision; and both sides are accumulated
 against the same ``exp(F - F*)``, streamed over the time nodes.  ``lhs``
 and ``rhs`` are reported relative to ``exp(CarlemanReport.log_scale)``.
 
-The requested ``GridSpec`` sets the rule's node counts, and its uniform
-nodes give two diagnostics: ``CarlemanReport.log_normalizer`` (the maximum
-of ``L`` over the support nodes) and ``resolved_fraction`` (the share of
-support nodes that still carry nonzero normalized weight).
-``strict_resolution=True`` turns a fraction below 1% into a
-DegenerateWeightError instead of a report.
+The requested ``GridSpec`` sets the rule's node counts and the box;
+Newton's method starts from the best node of a fixed lattice of
+``_START_NODES`` per axis over each bump's part of that box, whatever the
+counts.
 """
 
 from __future__ import annotations
@@ -50,7 +48,6 @@ __all__ = [
     "GridSpec",
     "CarlemanReport",
     "SupportViolationError",
-    "DegenerateWeightError",
     "bump_eval",
     "heat_residual",
     "carleman_integrals",
@@ -60,10 +57,6 @@ __all__ = [
 
 class SupportViolationError(ValueError):
     """The integration box is not strictly inside the truncated cone Q."""
-
-
-class DegenerateWeightError(RuntimeError):
-    """Under 1% of support nodes carry nonzero normalized weight."""
 
 
 def _bump_factors(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -191,9 +184,9 @@ class GridSpec:
     ``counts`` are per-axis node counts (spatial axes first, time last),
     at least 8 each; the Simpson rule additionally needs odd counts.
     ``carleman_integrals`` places ``counts[i]`` nodes of its peak-resolving
-    rule on axis ``i``; ``box``, ``rule`` and the uniform nodes of
-    ``axis_nodes_weights`` describe the requested uniform grid, on which
-    it reports ``log_normalizer`` and ``resolved_fraction``.
+    rule on axis ``i`` and integrates over ``box``; ``rule`` and the
+    uniform nodes of ``axis_nodes_weights`` describe a plain tensor rule on
+    the same box, which the tests use as a reference.
     """
 
     counts: tuple[int, ...]
@@ -247,16 +240,8 @@ class CarlemanReport:
     plus the logs of the peak's Laplace widths, so ``lhs`` is of the order
     of ``amplitude**2``.  It does not depend on the amplitude, and it is 0
     under ``unit_weight``, where ``lhs`` and ``rhs`` are the absolute
-    integrals.
-
-    ``log_normalizer`` and ``resolved_fraction`` describe the requested
-    uniform grid, not the rule that produced the integrals:
-    ``log_normalizer`` is the maximum of the weight exponent ``L`` over the
-    grid's support nodes (the nodes strictly inside the support of ``u``),
-    and ``resolved_fraction`` is the share of those nodes whose
-    ``exp(L - log_normalizer)`` does not underflow.  A fraction near zero
-    says that a uniform grid of that size could not have resolved the
-    concentrated weight.
+    integrals.  ``grid`` is the requested grid, whose counts set the rule's
+    nodes per axis.
     """
 
     a: float
@@ -264,10 +249,8 @@ class CarlemanReport:
     lhs: float
     rhs: float
     ratio: float
-    log_normalizer: float
     grid: GridSpec
     passed: bool
-    resolved_fraction: float
     log_scale: float = 0.0
 
 
@@ -340,6 +323,11 @@ _LOG_ZERO = -1e300
 # the peak, and staying out of the subnormal range keeps exp and the block
 # products fast (subnormals slow both by about a hundred times).
 _EXP_FLOOR = -700.0
+# Uniform nodes per axis of the lattice on which Newton's start is picked:
+# the start only has to lie in the peak's basin and, for a concentrated
+# peak, on the inside node nearest the right edges, so the lattice does not
+# grow with the grid.
+_START_NODES = 17
 # Nodes in one streamed block of the time axis.
 _BLOCK_NODES = 1 << 17
 _NEWTON_STEPS = 500
@@ -700,9 +688,11 @@ def _axis_rule(axis: int, n: int, peaks, edges, dom, drop):
     that ends at one peak is graded from it; one between two peaks is cut
     at the midpoint and graded from both; one without a peak gets plain
     Gauss-Legendre nodes, and one that no bump reaches gets none.  The
-    ``n`` nodes are shared out over the pieces.  Returns the splits (peak
-    indices), and per node the split it hangs from, its offset from that
-    split, and its weight.
+    ``n`` nodes are shared out over the pieces, but no piece gets fewer
+    than ``n // 2``: the right side's payload is sharp a fraction of a
+    radius inside each bump edge and needs them on every piece.  Returns
+    the splits (peak indices), and per node the split it hangs from, its
+    offset from that split, and its weight.
     """
     def gap(k, j):
         return _axis_gap(axis, peaks, edges, k, j)
@@ -741,7 +731,7 @@ def _axis_rule(axis: int, n: int, peaks, edges, dom, drop):
     share, extra = divmod(n, len(pieces))
     owner, offset, weight = [], [], []
     for i, (q, where, length) in enumerate(pieces):
-        count = share + (i < extra)
+        count = max(share + (i < extra), n // 2)
         if q is None:
             xi, w = _legendre(count)
             owner.append(np.zeros(count, dtype=int))
@@ -771,66 +761,37 @@ def _stream(X, T, shift: float, R) -> np.ndarray:
     return out
 
 
-def _scan_grid(bumps, edges, params: WeightParams, a, K, grid: GridSpec, unit_weight):
-    """Diagnostics of the requested uniform grid, streamed over time.
+def _newton_start(lo, hi, s, box_lo, box_hi, params: WeightParams, a, K, unit_weight):
+    """Newton's start point and axis modes for one bump, picked on a coarse lattice.
 
-    Returns ``(log_normalizer, resolved nodes, support nodes, starts,
-    nodes)``, where ``starts[k]`` is the node index (spatial C-order index,
-    time index) of the largest ``L + 2 log B_k`` on the grid, or None, and
-    ``nodes`` are the grid's nodes per axis.
+    The lattice has ``_START_NODES`` uniform nodes per axis over the bump's
+    part of the box, so a bump narrower than another's node spacing still
+    has inside nodes; the start is the node with the largest
+    ``F = L + 2 log B``.  An axis whose start is the bump's first (last)
+    inside node gets mode +1 (-1), so Newton moves it in the log of its
+    distance to the nearer edge, where a concentrated peak sits; the other
+    axes get mode 0.
     """
-    axes = [grid.axis_nodes_weights(i)[0] for i in range(len(grid.box))]
-    dim = len(axes) - 1
-    t = axes[dim]
-    log_b = []
-    for lo, hi, s in edges:
-        parts = [2.0 * _log_b(ax - lo[i], hi[i] - ax, s[i]) for i, ax in enumerate(axes)]
-        log_b.append((_tensor_sum(parts[:dim]).ravel(), parts[dim]))
-    if unit_weight:
-        X = np.zeros((math.prod(ax.size for ax in axes[:dim]), 1))
-        T = np.zeros((1, t.size))
-    else:
-        r2 = _tensor_sum([ax * ax for ax in axes[:dim]]).ravel()
+    axes = [np.linspace(start, stop, _START_NODES)
+            for start, stop in zip(np.maximum(lo, box_lo), np.minimum(hi, box_hi))]
+    F = _tensor_sum([2.0 * _log_b(ax - lo[i], hi[i] - ax, s[i]) for i, ax in enumerate(axes)])
+    if not unit_weight:
+        dim = len(axes) - 1
+        xs = [_axis_view(ax, i, dim + 1) for i, ax in enumerate(axes[:dim])]
+        t = _axis_view(axes[dim], dim, dim + 1)
+        r2 = sum(x * x for x in xs)
         r = np.sqrt(r2)
-        x1 = np.broadcast_to(_axis_view(axes[0], 0, dim), [ax.size for ax in axes[:dim]])
-        h = x1.ravel() / r
-        phi = np.power(r, params.alpha) * (np.power(h, params.m)
+        phi = np.power(r, params.alpha) * (np.power(xs[0] / r, params.m)
                                           - math.pow(params.epsilon, params.m))
-        X = np.column_stack([2.0 * a * phi, -(r2 + K)])
-        T = np.vstack([np.power(t, -K) - 1.0, 1.0 / (8.0 * t)])
-    block = max(1, _BLOCK_NODES // X.shape[0])
-
-    def blocks():
-        for j in range(0, t.size, block):
-            L = X @ T[:, j:j + block]
-            support = np.zeros(L.shape, dtype=bool)
-            for bx, bt in log_b:
-                support |= np.isfinite(bx)[:, None] & np.isfinite(bt[j:j + block])[None, :]
-            yield j, L, support
-
-    top, n_support, tops = -math.inf, 0, []
-    starts = [(-math.inf, None)] * len(log_b)
-    for j, L, support in blocks():
-        n_support += int(np.count_nonzero(support))
-        tops.append(float(np.max(np.where(support, L, -np.inf), initial=-np.inf)))
-        top = max(top, tops[-1])
-        for k, (bx, bt) in enumerate(log_b):
-            F = L + bx[:, None] + bt[None, j:j + block]
-            i = int(np.argmax(F))
-            if F.flat[i] > starts[k][0]:
-                ix, it = np.unravel_index(i, F.shape)
-                starts[k] = (float(F.flat[i]), (int(ix), j + int(it)))
-    resolved = 0
-    # Off the support the weight may exceed ``top`` (it peaks on the box
-    # edge, where u vanishes); those nodes are masked out of the count.
-    # exp underflows to 0 below -745.2, so raising -1e40 to -750 changes no
-    # count and spares exp its slow path.
-    with np.errstate(under="ignore", over="ignore"):
-        for (j, L, support), block_top in zip(blocks(), tops):
-            if block_top >= top - 750.0:
-                drop = np.maximum(L - top, -750.0)
-                resolved += int(np.count_nonzero(support & (np.exp(drop) > 0.0)))
-    return top, resolved, n_support, [idx for _, idx in starts], axes
+        F += 2.0 * a * (np.power(t, -K) - 1.0) * phi - (r2 + K) / (8.0 * t)
+    index = np.unravel_index(int(np.argmax(F)), F.shape)
+    x = np.array([ax[j] for ax, j in zip(axes, index)])
+    modes = np.zeros(len(axes))
+    for i, j in enumerate(index):
+        inside = np.nonzero((axes[i] > lo[i]) & (axes[i] < hi[i]))[0]
+        if j in (inside[0], inside[-1]):
+            modes[i] = 1.0 if x[i] - lo[i] <= hi[i] - x[i] else -1.0
+    return _Point(x, x - lo, hi - x), modes
 
 
 def carleman_integrals(
@@ -840,7 +801,6 @@ def carleman_integrals(
     K: float,
     grid: GridSpec,
     *,
-    strict_resolution: bool = False,
     unit_weight: bool = False,
 ) -> CarlemanReport:
     """Both sides of the weighted inequality by a peak-resolving product rule.
@@ -848,12 +808,13 @@ def carleman_integrals(
     The left side integrates ``u^2 + |grad u|^2`` and the right side
     ``(u_t + lap u)^2`` against the weight ``exp(L)``.  For each bump the
     joint maximiser of ``F = L + 2 log|u|`` is found by Newton's method,
-    started from the argmax of ``F`` on ``grid``.  Each axis is split at
-    the peak, and ``grid.counts[i]`` Gauss-Legendre nodes are placed on the
-    two sides, graded by a sinh map from the Laplace width ``sigma_i`` out
-    to the edge.  The integrand is evaluated as ``exp(F - F*)`` times the
-    payloads divided by ``u^2``, expanded about the peak, and streamed over
-    the time nodes.  A ``BumpSum`` splits each axis at every bump's peak
+    started from the argmax of ``F`` on a lattice of ``_START_NODES`` per
+    axis over the bump's part of ``grid.box``.  Each axis is split at the peak, and
+    ``grid.counts[i]`` Gauss-Legendre nodes are placed on the two sides,
+    graded by a sinh map from the Laplace width ``sigma_i`` out to the
+    edge.  The integrand is evaluated as ``exp(F - F*)`` times the payloads
+    divided by ``u^2``, expanded about the peak, and streamed over the time
+    nodes.  A ``BumpSum`` splits each axis at every bump's peak
     (and at every bump edge) and sums the products of its bumps pairwise.
     ``lhs`` and ``rhs`` are reported relative to ``exp(log_scale)``, the
     left integrand's Laplace scale (see CarlemanReport).
@@ -862,11 +823,9 @@ def carleman_integrals(
     ``t^-K`` itself leaves the float64 range; from ``K`` near 210 the ratio
     is below that range, so ``rhs`` reads ``inf`` and ``ratio`` 0.
 
-    ``grid`` also yields the diagnostics ``log_normalizer`` and
-    ``resolved_fraction`` on its uniform nodes; ``strict_resolution=True``
-    raises DegenerateWeightError when that fraction is below 1%.
-    ``unit_weight=True`` replaces ``L`` by 0 (plain unweighted quadrature,
-    used by exactness tests).
+    When no bump with nonzero amplitude meets ``grid.box``, both sides are
+    0 and the report passes.  ``unit_weight=True`` replaces ``L`` by 0
+    (plain unweighted quadrature, used by exactness tests).
     """
     if not a >= 0.0:
         raise ValueError(f"a must be nonnegative, got {a}")
@@ -884,39 +843,14 @@ def carleman_integrals(
             bumps.append(bump)
             edges.append((lo, hi, np.array(bump.radii)))
 
-    log_normalizer, resolved, n_support, starts, axes = _scan_grid(
-        bumps, edges, params, a, K, grid, unit_weight)
-    if n_support == 0:
-        return CarlemanReport(
-            a=a, K=K, lhs=0.0, rhs=0.0, ratio=0.0, log_normalizer=0.0,
-            grid=grid, passed=True, resolved_fraction=0.0,
-        )
-    resolved_fraction = resolved / n_support
-    if strict_resolution and resolved_fraction < 0.01:
-        raise DegenerateWeightError(
-            f"only {resolved} of {n_support} support nodes carry weight "
-            f"(fraction {resolved_fraction:.2e} < 1%); grid too coarse for "
-            f"the weight's concentration"
-        )
+    if not bumps:
+        return CarlemanReport(a=a, K=K, lhs=0.0, rhs=0.0, ratio=0.0, grid=grid, passed=True)
 
-    spatial_shape = [ax.size for ax in axes[:dim]]
     peaks = []
-    for (lo, hi, s), bump, start in zip(edges, bumps, starts):
-        floor_lo = np.maximum(box_lo - lo, 0.0)
-        floor_hi = np.maximum(hi - box_hi, 0.0)
-        modes = np.zeros(dim + 1)
-        if start is None:  # no grid node inside: start mid-way in the box
-            x = 0.5 * (np.maximum(lo, box_lo) + np.minimum(hi, box_hi))
-        else:
-            index = np.unravel_index(start[0], spatial_shape) + (start[1],)
-            x = np.array([axes[i][j] for i, j in enumerate(index)])
-            for i, j in enumerate(index):
-                inside = np.nonzero((axes[i] > lo[i]) & (axes[i] < hi[i]))[0]
-                if j in (inside[0], inside[-1]):
-                    modes[i] = 1.0 if x[i] - lo[i] <= hi[i] - x[i] else -1.0
-        point = _Point(x, x - lo, hi - x)
-        peaks.append(_find_peak(point, modes, s, floor_lo, floor_hi,
-                                params, a, K, unit_weight))
+    for lo, hi, s in edges:
+        point, modes = _newton_start(lo, hi, s, box_lo, box_hi, params, a, K, unit_weight)
+        peaks.append(_find_peak(point, modes, s, np.maximum(box_lo - lo, 0.0),
+                                np.maximum(hi - box_hi, 0.0), params, a, K, unit_weight))
 
     ref = int(np.argmax([pk.value for pk in peaks]))
     top = peaks[ref]
@@ -980,11 +914,8 @@ def carleman_integrals(
     if unit_weight:
         lhs, rhs, log_scale = lhs * math.exp(log_scale), rhs * math.exp(log_scale), 0.0
     ratio = lhs / rhs if rhs > 0.0 else 0.0
-    return CarlemanReport(
-        a=a, K=K, lhs=lhs, rhs=rhs, ratio=ratio, log_normalizer=log_normalizer,
-        grid=grid, passed=bool(lhs <= rhs), resolved_fraction=resolved_fraction,
-        log_scale=log_scale,
-    )
+    return CarlemanReport(a=a, K=K, lhs=lhs, rhs=rhs, ratio=ratio, grid=grid,
+                          passed=bool(lhs <= rhs), log_scale=log_scale)
 
 
 def verify_carleman(
@@ -994,8 +925,6 @@ def verify_carleman(
     K_init: float,
     K_cap: float,
     grid: GridSpec,
-    *,
-    strict_resolution: bool = False,
 ) -> list[CarlemanReport]:
     """Run the inequality for each amplification ``a``, escalating K on failure.
 
@@ -1009,9 +938,7 @@ def verify_carleman(
     for a in a_list:
         K = float(K_init)
         while True:
-            report = carleman_integrals(
-                u, params, a, K, grid, strict_resolution=strict_resolution
-            )
+            report = carleman_integrals(u, params, a, K, grid)
             if report.passed or K >= K_cap:
                 reports.append(report)
                 break

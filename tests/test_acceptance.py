@@ -232,11 +232,11 @@ def test_criterion_7a_inequality_passes():
 
 
 def test_criterion_7b_grid_refinement_drift():
-    # Expected to fail: at K >= 60 the amplified weight concentrates onto a
-    # single grid node (resolved fraction ~ 2e-6), so the lhs/rhs ratio is a
-    # payload ratio at a grid-dependent near-edge node and moves by ~20x
-    # between 41 and 81 nodes per axis instead of < 5%.  See the decisions
-    # ledger for the full analysis.
+    # At K = 60 the amplified weight concentrates within ~1e-35 of the
+    # support edge, below the float64 spacing.  The quadrature resolves that
+    # peak (Newton in edge-distance coordinates, nodes graded from its
+    # Laplace width), so the ratio is the integral's and must not move
+    # between 41 and 81 nodes per axis; it drifts ~1e-14.
     start = time.perf_counter()
     worst = 0.0
     details = []

@@ -7,7 +7,6 @@ from carleman_cone.quad import (
     BumpFunction,
     BumpSum,
     CarlemanReport,
-    DegenerateWeightError,
     GridSpec,
     SupportViolationError,
     bump_eval,
@@ -200,36 +199,60 @@ class TestCarlemanIntegrals:
         with pytest.raises(SupportViolationError):
             carleman_integrals(BUMP, narrow, 1.0, 60.0, GridSpec.from_support(BUMP, 21))
 
-    def test_strict_resolution_raises_when_concentrated(self):
-        grid = GridSpec.from_support(BUMP, 41)
-        rep = carleman_integrals(BUMP, PARAMS, 1.0, 60.0, grid)
-        assert rep.resolved_fraction < 0.01
-        with pytest.raises(DegenerateWeightError):
-            carleman_integrals(BUMP, PARAMS, 1.0, 60.0, grid, strict_resolution=True)
-        # unit weight resolves everywhere, so strict mode is happy
-        rep = carleman_integrals(BUMP, PARAMS, 0.0, 60.0, grid,
-                                 strict_resolution=True, unit_weight=True)
-        assert rep.resolved_fraction == pytest.approx(1.0)
-
     def test_log_stability(self):
         # raw exponent is astronomically large; evaluated envelope is <= 1
         grid = GridSpec.from_support(BUMP, 41)
         rep = carleman_integrals(BUMP, PARAMS, 10.0, 60.0, grid)
-        assert rep.log_normalizer > 1e6
+        assert rep.log_scale > 1e6
         assert math.isfinite(rep.lhs) and math.isfinite(rep.rhs)
         assert rep.lhs >= 0.0 and rep.rhs >= 0.0
 
-    def test_grid_weight_agrees_with_scalar_log_weight(self):
-        rep = carleman_integrals(BUMP, PARAMS, 2.0, 8.0, GridSpec.from_support(BUMP, 9))
-        grid = GridSpec.from_support(BUMP, 9)
-        nodes = [grid.axis_nodes_weights(i)[0] for i in range(3)]
-        # spot-check the normalizer against scalar evaluation at grid nodes
-        best = -math.inf
-        for x1 in nodes[0][1:-1]:
-            for x2 in nodes[1][1:-1]:
-                for t in nodes[2][1:-1]:
-                    best = max(best, log_weight((x1, x2), t, 2.0, 8.0, PARAMS))
-        assert rep.log_normalizer == pytest.approx(best, rel=1e-12)
+    def test_expanded_exponent_agrees_with_scalar_log_weight(self):
+        # F(p + offsets) = F(p) + X @ T with the full gradient as the slope,
+        # against log_weight + 2 log B evaluated point by point
+        from carleman_cone.quad import _exponent_factors, _exponent_value, _grad_hess, _Point
+
+        a, K = 2.0, 8.0
+        c, s = np.array(BUMP.center), np.array(BUMP.radii)
+        x = np.array([4.3, -0.2, 0.42])
+        p = _Point(x, x - (c - s), (c + s) - x)
+        slope, _, _ = _grad_hess(p, s, np.zeros(3), PARAMS, a, K, False)
+        offsets = [np.array([-0.31, 0.0, 0.12]), np.array([-0.25, 0.05, 0.4]),
+                   np.array([-0.1, 1e-3, 0.2])]
+        X, T = _exponent_factors(p, s, slope, offsets, PARAMS, a, K, False)
+        F = _exponent_value(p, s, PARAMS, a, K, False) + (X @ T).reshape(3, 3, 3)
+
+        def log_b(v, i):
+            z = (v - c[i]) / s[i]
+            return -1.0 / (1.0 - z * z)
+
+        for i, d1 in enumerate(offsets[0]):
+            for j, d2 in enumerate(offsets[1]):
+                for k, dt in enumerate(offsets[2]):
+                    y = x + np.array([d1, d2, dt])
+                    ref = log_weight(y[:2], y[2], a, K, PARAMS) + 2.0 * sum(
+                        log_b(y[n], n) for n in range(3))
+                    assert F[i, j, k] == pytest.approx(ref, rel=1e-10)
+
+    @pytest.mark.parametrize("K", [0.5, 60.0])
+    def test_peak_does_not_depend_on_grid_counts(self, K, monkeypatch):
+        import carleman_cone.quad as quad_mod
+
+        found = []
+        real = quad_mod._find_peak
+
+        def recording(*args):
+            found.append(real(*args))
+            return found[-1]
+
+        monkeypatch.setattr(quad_mod, "_find_peak", recording)
+        r41, r161 = (carleman_integrals(BUMP, PARAMS, 1.0, K, GridSpec.from_support(BUMP, n))
+                     for n in (41, 161))
+        (p41,), (p161,) = found[:1], found[1:]
+        for field in ("x", "lo_gap", "hi_gap"):
+            assert np.array_equal(getattr(p41.point, field), getattr(p161.point, field))
+        assert np.array_equal(p41.sigma, p161.sigma) and p41.value == p161.value
+        assert r41.log_scale == r161.log_scale
 
     def test_unit_weight_exactness(self):
         # full-path 81-per-axis result vs the separable 161-per-axis
@@ -293,11 +316,10 @@ class TestCarlemanIntegrals:
     def test_grid_convergence_in_resolvable_regime(self):
         # With a mild amplification the weight spans the whole support and
         # the ratio converges under refinement.  (At K >= 60 the weight
-        # concentrates onto single nodes and no grid refinement converges;
-        # that regime is exercised by the strict-resolution test above.)
+        # concentrates within ~1e-35 of the support edge; that regime is
+        # checked against Laplace's method in TestPeakResolvingRule.)
         r41 = carleman_integrals(BUMP, PARAMS, 0.5, 2.0, GridSpec.from_support(BUMP, 41))
         r81 = carleman_integrals(BUMP, PARAMS, 0.5, 2.0, GridSpec.from_support(BUMP, 81))
-        assert r41.resolved_fraction == pytest.approx(1.0)
         drift = abs(r81.ratio - r41.ratio) / max(r81.ratio, r41.ratio)
         assert drift < 0.05
 
@@ -441,21 +463,35 @@ class TestPeakResolvingRule:
         for K in (0.5, 60.0):  # at K = 60, log 3 is below the spacing of log_scale
             base = carleman_integrals(BUMP, PARAMS, 1.0, K, grid)
             assert carleman_integrals(tripled, PARAMS, 1.0, K, grid).log_scale == base.log_scale
-        # relative to the grid's normalizer the true lhs is far out of range
-        assert base.log_scale - base.log_normalizer > 1e40
         unit = carleman_integrals(BUMP, PARAMS, 0.0, 60.0, grid, unit_weight=True)
         assert unit.log_scale == 0.0
 
     def test_bump_sum_splits_at_each_peak(self):
         other = BumpFunction(amplitude=0.5, center=(4.3, 0.2, 0.6), radii=(0.3, 0.3, 0.1))
-        combo = BumpSum((BUMP, other))
+        # narrower in t than the spacing of a 17-node lattice over the hull box
+        narrow = BumpFunction(amplitude=1.0, center=(4.75, 0.05, 0.2187),
+                              radii=(0.03, 0.03, 0.015))
         # concentrated: the second bump is far from the weight's peak corner
         single = carleman_integrals(BUMP, PARAMS, 1.0, 60.0, GridSpec.from_support(BUMP, 41))
-        rep = carleman_integrals(combo, PARAMS, 1.0, 60.0, GridSpec.from_support(combo, 41))
-        assert rep.ratio == pytest.approx(single.ratio, rel=1e-6)
+        for second in (other, narrow):
+            combo = BumpSum((BUMP, second))
+            rep = carleman_integrals(combo, PARAMS, 1.0, 60.0, GridSpec.from_support(combo, 41))
+            assert rep.ratio == pytest.approx(single.ratio, rel=1e-6)
         # resolved: both bumps and their overlap carry weight
+        combo = BumpSum((BUMP, other))
         rep = carleman_integrals(combo, PARAMS, 1.0, 0.5, GridSpec.from_support(combo, 81))
         assert rep.ratio == pytest.approx(simpson_ratio(combo, 1.0, 0.5), rel=0.01)
+
+    def test_bump_sum_resolves_each_bump_at_coarse_counts(self):
+        # disjoint bumps: the sum's integrals are the bumps' own, and each
+        # piece between a peak and a bump edge keeps enough nodes
+        other = BumpFunction(1.0, (6.0, 1.0, 0.4), (0.5, 0.5, 0.15))
+        combo = BumpSum((BUMP, other))
+        rep = carleman_integrals(combo, PARAMS, 0.0, 60.0, GridSpec.from_support(combo, 41),
+                                 unit_weight=True)
+        alone = sum(carleman_integrals(b, PARAMS, 0.0, 60.0, GridSpec.from_support(b, 41),
+                                       unit_weight=True).rhs for b in combo.bumps)
+        assert rep.rhs == pytest.approx(alone, rel=1e-3)
 
 
 class TestVerifyCarleman:
@@ -484,12 +520,11 @@ class TestVerifyCarleman:
 
         calls = []
 
-        def fake_integrals(u, params, a, K, grid, strict_resolution=False):
+        def fake_integrals(u, params, a, K, grid):
             calls.append(K)
             return CarlemanReport(
                 a=a, K=K, lhs=1.0 if K < 240.0 else 0.5, rhs=0.75, ratio=1.0,
-                log_normalizer=0.0, grid=grid, passed=K >= 240.0,
-                resolved_fraction=1.0,
+                grid=grid, passed=K >= 240.0,
             )
 
         monkeypatch.setattr(quad_mod, "carleman_integrals", fake_integrals)
@@ -501,10 +536,9 @@ class TestVerifyCarleman:
     def test_escalation_reports_failure_at_cap(self, monkeypatch):
         import carleman_cone.quad as quad_mod
 
-        def always_fail(u, params, a, K, grid, strict_resolution=False):
+        def always_fail(u, params, a, K, grid):
             return CarlemanReport(
-                a=a, K=K, lhs=2.0, rhs=1.0, ratio=2.0, log_normalizer=0.0,
-                grid=grid, passed=False, resolved_fraction=1.0,
+                a=a, K=K, lhs=2.0, rhs=1.0, ratio=2.0, grid=grid, passed=False,
             )
 
         monkeypatch.setattr(quad_mod, "carleman_integrals", always_fail)
