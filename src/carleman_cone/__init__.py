@@ -26,9 +26,7 @@ from .quad import (
     CarlemanReport,
     GridSpec,
     SupportViolationError,
-    bump_eval,
     carleman_integrals,
-    heat_residual,
     verify_carleman,
 )
 from .solver import (
@@ -46,13 +44,8 @@ from .solver import (
     uniqueness_horizon,
 )
 from .weights import (
-    ConeGeometry,
-    SpaceTimePoint,
     WeightParams,
     build_f,
-    cone_contains,
-    cone_convert,
-    field_H_F,
     grad_phi,
     hess_phi,
     log_weight,
@@ -78,9 +71,7 @@ __all__ = [
     "CarlemanReport",
     "GridSpec",
     "SupportViolationError",
-    "bump_eval",
     "carleman_integrals",
-    "heat_residual",
     "verify_carleman",
     "AllInfeasibleError",
     "FrontierResult",
@@ -94,13 +85,8 @@ __all__ = [
     "solve_critical_system",
     "solve_gamma1",
     "uniqueness_horizon",
-    "ConeGeometry",
-    "SpaceTimePoint",
     "WeightParams",
     "build_f",
-    "cone_contains",
-    "cone_convert",
-    "field_H_F",
     "grad_phi",
     "hess_phi",
     "log_weight",

@@ -1,10 +1,11 @@
 """Command-line surface.
 
 Subcommands: solve | gamma1 | check | frontier | scan | quadrature |
-identities.  Flag values take precedence over a ``--config`` key=value
-file, which takes precedence over defaults.  Exit codes: 0 success/pass,
-1 certified failure or quadrature fail, 2 indeterminate or non-convergence,
-3 usage error.
+identities.  Each subcommand accepts only the flags it reads, plus
+``--json`` and ``--config``; a ``--config`` key=value file may set any key.
+Flag values take precedence over the file, which takes precedence over
+defaults.  Exit codes: 0 success/pass, 1 certified failure or quadrature
+fail, 2 indeterminate or non-convergence, 3 usage error.
 """
 
 from __future__ import annotations
@@ -44,7 +45,18 @@ from .weights import WeightParams
 
 __all__ = ["RunConfig", "parse_config", "execute", "main"]
 
-COMMANDS = ("solve", "gamma1", "check", "frontier", "scan", "quadrature", "identities")
+# The flags each subcommand reads, besides --json and --config; any other
+# flag is a usage error.  Config-file keys are accepted by every subcommand.
+_COMMAND_FLAGS = {
+    "solve": ("init", "tol", "max_iter"),
+    "gamma1": ("tol",),
+    "check": ("m", "alpha", "gamma", "eps", "tol"),
+    "frontier": ("m", "alpha", "family", "tol"),
+    "scan": ("m_grid", "alpha", "tol", "csv"),
+    "quadrature": ("m", "alpha", "gamma", "eps", "dim", "a", "K", "K_cap", "grid"),
+    "identities": ("m", "alpha", "gamma", "eps", "dim", "seed"),
+}
+COMMANDS = tuple(_COMMAND_FLAGS)
 
 _DEFAULTS: dict[str, Any] = {
     "m": 2.46,
@@ -135,25 +147,15 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="carleman-cone")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command")
-    for name in COMMANDS:
+    for name, keys in _COMMAND_FLAGS.items():
         p = sub.add_parser(name)
-        p.add_argument("--m", type=float)
-        p.add_argument("--alpha", type=float)
-        p.add_argument("--gamma", type=float)
-        p.add_argument("--eps", type=float)
-        p.add_argument("--dim", type=int)
-        p.add_argument("--a", type=float, action="append")
-        p.add_argument("--K", type=float)
-        p.add_argument("--K-cap", dest="K_cap", type=float)
-        p.add_argument("--grid", type=int)
-        p.add_argument("--tol", type=float)
-        p.add_argument("--max-iter", dest="max_iter", type=int)
-        p.add_argument("--m-grid", dest="m_grid", type=str)
-        p.add_argument("--init", type=str)
-        p.add_argument("--family", choices=("m", "alpha"))
-        p.add_argument("--seed", type=int)
+        for key in keys:
+            flag = "--" + key.replace("_", "-")
+            if key == "a":
+                p.add_argument(flag, type=float, action="append")
+            else:
+                p.add_argument(flag, type=_CONFIG_PARSERS[key])
         p.add_argument("--json", action="store_const", const=True, default=None)
-        p.add_argument("--csv", type=str)
         p.add_argument("--config", type=str)
     return parser
 
@@ -206,8 +208,9 @@ def _require(ok: bool, key: str, message: str) -> None:
 def parse_config(argv: Sequence[str], file_text: Optional[str] = None) -> RunConfig:
     """Resolve argv (+ optional config text) into a validated RunConfig.
 
-    Precedence is flags > config file > defaults; unknown flags and config
-    keys are rejected.
+    Precedence is flags > config file > defaults.  A subcommand accepts only
+    the flags it reads (``_COMMAND_FLAGS``) plus ``--json`` and
+    ``--config``; other flags and unknown config keys are rejected.
     """
     parser = _build_parser()
     ns = parser.parse_args(list(argv))
@@ -223,7 +226,8 @@ def parse_config(argv: Sequence[str], file_text: Optional[str] = None) -> RunCon
     if file_text is not None:
         file_values = _read_config_file(file_text)
 
-    def pick(key: str, flag_value):
+    def pick(key: str):
+        flag_value = getattr(ns, key, None)
         if flag_value is not None:
             return flag_value
         if key in file_values:
@@ -231,40 +235,40 @@ def parse_config(argv: Sequence[str], file_text: Optional[str] = None) -> RunCon
         return _DEFAULTS[key]
 
     command = ns.command
-    dim = pick("dim", ns.dim)
+    dim = pick("dim")
     _require(dim in (2, 3), "dim", f"must be 2 or 3, got {dim}")
 
-    grid = pick("grid", ns.grid)
+    grid = pick("grid")
     if grid is None:
         grid = 81 if dim == 2 else 41
-    tol = pick("tol", ns.tol)
+    tol = pick("tol")
     if tol is None:
         tol = _TOL_DEFAULTS[command]
 
-    m_grid_raw = pick("m_grid", ns.m_grid)
+    m_grid_raw = pick("m_grid")
     m_grid = _parse_m_grid(m_grid_raw) if isinstance(m_grid_raw, str) else m_grid_raw
-    init_raw = pick("init", ns.init)
+    init_raw = pick("init")
     init = _parse_init(init_raw) if isinstance(init_raw, str) else tuple(init_raw)
 
     cfg = RunConfig(
         command=command,
-        m=pick("m", ns.m),
-        alpha=pick("alpha", ns.alpha),
-        gamma=pick("gamma", ns.gamma),
-        eps=pick("eps", ns.eps),
+        m=pick("m"),
+        alpha=pick("alpha"),
+        gamma=pick("gamma"),
+        eps=pick("eps"),
         dim=dim,
-        a_list=list(pick("a", ns.a)),
-        K=pick("K", ns.K),
-        K_cap=pick("K_cap", ns.K_cap),
+        a_list=list(pick("a")),
+        K=pick("K"),
+        K_cap=pick("K_cap"),
         grid=grid,
         tol=tol,
-        max_iter=pick("max_iter", ns.max_iter),
+        max_iter=pick("max_iter"),
         m_grid=m_grid,
         init=init,
-        family=pick("family", ns.family),
-        seed=pick("seed", ns.seed),
-        as_json=bool(pick("json", ns.json)),
-        csv_path=pick("csv", ns.csv),
+        family=pick("family"),
+        seed=pick("seed"),
+        as_json=bool(pick("json")),
+        csv_path=pick("csv"),
     )
     _validate(cfg)
     return cfg
@@ -281,6 +285,7 @@ def _validate(cfg: RunConfig) -> None:
     if cmd in ("check", "quadrature", "identities") or (cmd == "frontier" and cfg.family == "m"):
         _require(2.0 < cfg.m < 3.0, "m", f"out of (2, 3), got {cfg.m}")
     if cmd == "frontier":
+        _require(cfg.family in ("m", "alpha"), "family", f"must be m or alpha, got {cfg.family!r}")
         _require(1.0 < cfg.alpha < 2.0, "alpha", f"frontier needs alpha in (1, 2), got {cfg.alpha}")
     if cmd == "scan":
         _require(cfg.m_grid is not None, "m_grid", "scan needs --m-grid lo:hi:count")
@@ -472,7 +477,6 @@ def _run_quadrature(cfg: RunConfig) -> tuple[int, Any, dict]:
             "ratio": r.ratio,
             "log_scale": r.log_scale,
             "grid": list(r.grid.counts),
-            "rule": r.grid.rule,
             "pass": r.passed,
         }
         for r in reports

@@ -235,20 +235,16 @@ def build_l(which: str, params: WeightParams) -> PowerSum:
 
 
 def build_l_expanded(which: str, params: WeightParams) -> PowerSum:
-    """Expanded closed forms of l2 and l4 for cross-checking the builders."""
-    a = params.alpha
-    m, eps = params.m, params.epsilon
-    em = math.pow(eps, m)
-    if which == "l2":
-        coef = a * a - params.gamma ** 2 * (m - 1.0) / 4.0
-        return PowerSum((
-            (coef - (m * m + m) / 2.0, m),
-            ((m * m - m) / 2.0, m - 2.0),
-            (-coef * em, 0.0),
-        ))
-    if which == "l4":
-        return build_l("l4", params)
-    raise ValueError(f"no expanded form for {which!r}")
+    """Expanded closed form of l2 for cross-checking its builder."""
+    if which != "l2":
+        raise ValueError(f"no expanded form for {which!r}")
+    a, m = params.alpha, params.m
+    coef = a * a - params.gamma ** 2 * (m - 1.0) / 4.0
+    return PowerSum((
+        (coef - (m * m + m) / 2.0, m),
+        ((m * m - m) / 2.0, m - 2.0),
+        (-coef * math.pow(params.epsilon, m), 0.0),
+    ))
 
 
 def l1_boundary_law(params: WeightParams) -> float:

@@ -2,8 +2,9 @@
 
 The test functions are tensor products of the classic smooth bump
 ``b(z) = exp(-1/(1-z^2))`` on ``|z| < 1``, so value, gradient, Laplacian and
-time derivative all have closed forms and the integrands vanish identically
-outside a known box.  Both sides of the weighted inequality
+time derivative all have closed forms (``_fields_on_grid`` evaluates them on
+a tensor grid) and the integrands vanish identically outside a known box.
+Both sides of the weighted inequality
 
     integral w * (u^2 + |grad u|^2)  <=  integral w * (u_t + lap u)^2
 
@@ -27,7 +28,7 @@ and ``rhs`` are reported relative to ``exp(CarlemanReport.log_scale)``.
 The requested ``GridSpec`` sets the rule's node counts and the box;
 Newton's method starts from the best node of a fixed lattice of
 ``_START_NODES`` per axis over each bump's part of that box, whatever the
-counts.
+counts, with ``L`` on the lattice from ``weights.log_weight``.
 """
 
 from __future__ import annotations
@@ -48,8 +49,6 @@ __all__ = [
     "GridSpec",
     "CarlemanReport",
     "SupportViolationError",
-    "bump_eval",
-    "heat_residual",
     "carleman_integrals",
     "verify_carleman",
 ]
@@ -106,27 +105,6 @@ class BumpFunction:
     def support(self) -> tuple[tuple[float, float], ...]:
         return tuple((c - s, c + s) for c, s in zip(self.center, self.radii))
 
-    def evaluate(self, x, t: float) -> tuple[float, np.ndarray, float, float]:
-        """(value, spatial gradient, Laplacian, time derivative) at one point."""
-        x = np.asarray(x, dtype=float)
-        if x.size != self.dim:
-            raise ValueError(f"expected {self.dim} spatial coordinates, got {x.size}")
-        coords = np.append(x, t)
-        z = (coords - np.array(self.center)) / np.array(self.radii)
-        if np.any(np.abs(z) >= 1.0):
-            return 0.0, np.zeros(self.dim), 0.0, 0.0
-        b, bp, bpp = _bump_factors(z)
-        s = np.array(self.radii)
-        value = self.amplitude * float(np.prod(b))
-        grad = np.empty(self.dim)
-        lap = 0.0
-        for j in range(self.dim):
-            others = self.amplitude * float(np.prod(b[:j]) * np.prod(b[j + 1 :]))
-            grad[j] = others * float(bp[j]) / s[j]
-            lap += others * float(bpp[j]) / (s[j] * s[j])
-        dt = self.amplitude * float(np.prod(b[:-1])) * float(bp[-1]) / s[-1]
-        return value, grad, lap, dt
-
 
 @dataclass(frozen=True)
 class BumpSum:
@@ -154,73 +132,41 @@ class BumpSum:
             for i in range(self.dim + 1)
         )
 
-    def evaluate(self, x, t: float) -> tuple[float, np.ndarray, float, float]:
-        value, lap, dt = 0.0, 0.0, 0.0
-        grad = np.zeros(self.dim)
-        for b in self.bumps:
-            v, g, l, d = b.evaluate(x, t)
-            value += v
-            grad += g
-            lap += l
-            dt += d
-        return value, grad, lap, dt
-
-
-def bump_eval(u, x, t: float) -> tuple[float, np.ndarray, float, float]:
-    """Closed-form (value, gradient, laplacian, dt); zeros outside the support."""
-    return u.evaluate(x, t)
-
-
-def heat_residual(u, x, t: float) -> float:
-    """Heat-operator residual ``u_t + lap u`` of a test function at a point."""
-    _, _, lap, dt = u.evaluate(x, t)
-    return dt + lap
-
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Tensor-product quadrature grid over an axis-aligned box.
+    """Node counts and box of the quadrature.
 
     ``counts`` are per-axis node counts (spatial axes first, time last),
-    at least 8 each; the Simpson rule additionally needs odd counts.
-    ``carleman_integrals`` places ``counts[i]`` nodes of its peak-resolving
-    rule on axis ``i`` and integrates over ``box``; ``rule`` and the
-    uniform nodes of ``axis_nodes_weights`` describe a plain tensor rule on
-    the same box, which the tests use as a reference.
+    odd and at least 9 each.  ``carleman_integrals`` places ``counts[i]``
+    nodes of its peak-resolving rule on axis ``i`` and integrates over
+    ``box``.  ``axis_nodes_weights`` gives the uniform Simpson rule on the
+    same nodes, which the tests use as a reference.
     """
 
     counts: tuple[int, ...]
     box: tuple[tuple[float, float], ...]
-    rule: str = "simpson"
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "counts", tuple(int(n) for n in self.counts))
         object.__setattr__(self, "box", tuple((float(lo), float(hi)) for lo, hi in self.box))
-        if self.rule not in ("simpson", "midpoint"):
-            raise ValueError(f"unknown rule {self.rule!r}")
         if len(self.counts) != len(self.box):
             raise ValueError("counts and box must have equal length")
-        if any(n < 8 for n in self.counts):
-            raise ValueError("all axis counts must be >= 8")
-        if self.rule == "simpson" and any(n % 2 == 0 for n in self.counts):
-            raise ValueError("the simpson rule needs odd point counts")
+        if any(n < 9 or n % 2 == 0 for n in self.counts):
+            raise ValueError("axis counts must be odd and at least 9 (Simpson)")
         if any(lo >= hi for lo, hi in self.box):
             raise ValueError("box sides must have positive length")
 
     @classmethod
-    def from_support(cls, u, n: int, rule: str = "simpson") -> "GridSpec":
+    def from_support(cls, u, n: int) -> "GridSpec":
         """Cubic grid (n nodes per axis) over the support box of ``u``."""
         box = u.support
-        return cls(counts=(n,) * len(box), box=box, rule=rule)
+        return cls(counts=(n,) * len(box), box=box)
 
     def axis_nodes_weights(self, axis: int) -> tuple[np.ndarray, np.ndarray]:
+        """Uniform nodes and composite Simpson weights of one axis."""
         lo, hi = self.box[axis]
         n = self.counts[axis]
-        if self.rule == "midpoint":
-            step = (hi - lo) / n
-            nodes = lo + (np.arange(n) + 0.5) * step
-            weights = np.full(n, step)
-            return nodes, weights
         nodes = np.linspace(lo, hi, n)
         step = (hi - lo) / (n - 1)
         weights = np.full(n, 2.0)
@@ -269,10 +215,11 @@ def _check_box_in_Q(box, epsilon: float) -> None:
 
 
 def _fields_on_grid(u, axes: Sequence[np.ndarray], dim: int):
-    """Tensor-product bump fields, one full array per requested field.
+    """(value, spatial gradients, Laplacian, time derivative) of ``u`` on a tensor grid.
 
-    The plain closed-form evaluator on a given tensor grid; the tests use it
-    as the reference for the quadrature.
+    ``axes`` holds the nodes of each axis, time last; one-node axes give
+    the fields at a point.  The package's one closed-form evaluator of the
+    bump fields, which the tests use as the reference for the quadrature.
     """
     shape = tuple(len(ax) for ax in axes)
     bumps = u.bumps if isinstance(u, BumpSum) else (u,)
@@ -776,14 +723,8 @@ def _newton_start(lo, hi, s, box_lo, box_hi, params: WeightParams, a, K, unit_we
             for start, stop in zip(np.maximum(lo, box_lo), np.minimum(hi, box_hi))]
     F = _tensor_sum([2.0 * _log_b(ax - lo[i], hi[i] - ax, s[i]) for i, ax in enumerate(axes)])
     if not unit_weight:
-        dim = len(axes) - 1
-        xs = [_axis_view(ax, i, dim + 1) for i, ax in enumerate(axes[:dim])]
-        t = _axis_view(axes[dim], dim, dim + 1)
-        r2 = sum(x * x for x in xs)
-        r = np.sqrt(r2)
-        phi = np.power(r, params.alpha) * (np.power(xs[0] / r, params.m)
-                                          - math.pow(params.epsilon, params.m))
-        F += 2.0 * a * (np.power(t, -K) - 1.0) * phi - (r2 + K) / (8.0 * t)
+        views = [_axis_view(ax, i, len(axes)) for i, ax in enumerate(axes)]
+        F += log_weight(views[:-1], views[-1], a, K, params)
     index = np.unravel_index(int(np.argmax(F)), F.shape)
     x = np.array([ax[j] for ax, j in zip(axes, index)])
     modes = np.zeros(len(axes))

@@ -1,11 +1,10 @@
-"""Cone geometry and the anisotropic power weight with its derivatives.
+"""The anisotropic power weight, its derivatives and the space-time exponent.
 
 The weight is ``phi(x) = r**alpha * f(x1 / r)`` with ``r = |x|`` and the
 radial profile ``f(h) = h**m - epsilon**m``; it vanishes on the boundary of
 the circular cone ``{x : x1 > epsilon * |x|}`` and is homogeneous of degree
-``alpha``.  The module also provides the time-amplified scalar fields used
-by the weighted-inequality machinery and the log-domain exponent of the
-full space-time weight.
+``alpha``.  ``log_weight`` is the log-domain exponent of the full
+space-time weight, pointwise or on a grid.
 
 All evaluations here are pure functions; callers exponentiate the
 log-domain weight only after subtracting its maximum, because the time
@@ -23,15 +22,10 @@ from .algebra import PowerSum
 
 __all__ = [
     "WeightParams",
-    "ConeGeometry",
-    "SpaceTimePoint",
-    "cone_convert",
-    "cone_contains",
     "build_f",
     "phi_eval",
     "grad_phi",
     "hess_phi",
-    "field_H_F",
     "log_weight",
 ]
 
@@ -72,90 +66,6 @@ class WeightParams:
     def concavity_route_available(self) -> bool:
         """m >= 2.36 keeps the concavity argument's leading sign in check."""
         return self.m >= 2.36
-
-
-@dataclass(frozen=True)
-class ConeGeometry:
-    """Opening angle theta and its half-angle cosine epsilon, kept in sync."""
-
-    theta: float
-    epsilon: float
-    dim: int = 2
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.theta < math.pi:
-            raise ValueError(f"theta must lie in (0, pi), got {self.theta}")
-        if not 0.0 < self.epsilon < 1.0:
-            raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon}")
-        if self.dim < 2:
-            raise ValueError(f"dim must be >= 2, got {self.dim}")
-        expected = math.cos(0.5 * self.theta)
-        if abs(expected - self.epsilon) > 1e-14 * max(1.0, abs(expected)):
-            raise ValueError(
-                f"inconsistent geometry: cos(theta/2)={expected} vs epsilon={self.epsilon}"
-            )
-
-    @classmethod
-    def from_theta(cls, theta: float, dim: int = 2) -> "ConeGeometry":
-        if not 0.0 < theta < math.pi:
-            raise ValueError(f"theta must lie in (0, pi), got {theta}")
-        return cls(theta=theta, epsilon=math.cos(0.5 * theta), dim=dim)
-
-    @classmethod
-    def from_epsilon(cls, epsilon: float, dim: int = 2) -> "ConeGeometry":
-        if not 0.0 < epsilon < 1.0:
-            raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
-        return cls(theta=2.0 * math.acos(epsilon), epsilon=epsilon, dim=dim)
-
-    @property
-    def theta_deg(self) -> float:
-        return math.degrees(self.theta)
-
-
-def cone_convert(*, theta: float | None = None, epsilon: float | None = None, dim: int = 2) -> ConeGeometry:
-    """Build a ConeGeometry from exactly one of theta (radians) or epsilon."""
-    if (theta is None) == (epsilon is None):
-        raise ValueError("provide exactly one of theta or epsilon")
-    if theta is not None:
-        return ConeGeometry.from_theta(theta, dim=dim)
-    return ConeGeometry.from_epsilon(epsilon, dim=dim)
-
-
-@dataclass(frozen=True)
-class SpaceTimePoint:
-    """A point (x, t) of the truncated space-time cone.
-
-    The weight fields themselves take raw vectors (finite-difference
-    stencils legitimately straddle the cone boundary); this type carries the
-    membership test for the truncated cone Q = {x1 > 1, x1 > eps |x|} x (0, 1).
-    """
-
-    x: tuple[float, ...]
-    t: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "x", tuple(float(v) for v in self.x))
-        if len(self.x) < 2:
-            raise ValueError("need at least two spatial coordinates")
-        if not 0.0 < self.t <= 1.0:
-            raise ValueError(f"t must lie in (0, 1], got {self.t}")
-        if not any(v != 0.0 for v in self.x):
-            raise ValueError("weight fields are undefined at the spatial origin")
-
-    @property
-    def r(self) -> float:
-        return math.sqrt(sum(v * v for v in self.x))
-
-    def in_Q(self, epsilon: float) -> bool:
-        """Strict membership in the truncated cone for opening parameter epsilon."""
-        x1 = self.x[0]
-        return x1 > 1.0 and x1 > epsilon * self.r and self.t < 1.0
-
-
-def cone_contains(x, geom: ConeGeometry) -> bool:
-    """Strict membership ``x1 > epsilon * |x|``; the boundary is excluded."""
-    x = np.asarray(x, dtype=float)
-    return bool(x[0] > geom.epsilon * float(np.linalg.norm(x)))
 
 
 def build_f(m: float, epsilon: float) -> PowerSum:
@@ -244,41 +154,27 @@ def hess_phi(x, params: WeightParams) -> np.ndarray:
     return math.pow(r, alpha - 2.0) * ((alpha * f - h * fp) * np.eye(n) + B)
 
 
-def _time_amplification(t: float, K: float) -> float:
-    if not 0.0 < t <= 1.0:
-        raise ValueError(f"t must lie in (0, 1], got {t}")
-    if not K > 0.0:
-        raise ValueError(f"K must be positive, got {K}")
-    return math.pow(t, -K) - 1.0
-
-
-def field_H_F(x, t: float, a: float, K: float, params: WeightParams) -> tuple[float, float]:
-    """Auxiliary fields: H = a*Lambda*r**(alpha-2)*(alpha*f - h*f'), F = -4H + 3/t.
-
-    ``Lambda(t) = t**-K - 1``.  H is nonpositive throughout the cone for
-    valid parameters because ``alpha*f - h*f' = (alpha-m)h**m - alpha*eps**m``
-    is negative there.
-    """
-    if not a >= 0.0:
-        raise ValueError(f"a must be nonnegative, got {a}")
-    x = np.asarray(x, dtype=float)
-    r, h = _r_h(x)
-    lam = _time_amplification(t, K)
-    f, fp, _ = _profile_derivs(h, params)
-    H = a * lam * math.pow(r, params.alpha - 2.0) * (params.alpha * f - h * fp)
-    return H, -4.0 * H + 3.0 / t
-
-
-def log_weight(x, t: float, a: float, K: float, params: WeightParams) -> float:
+def log_weight(x, t, a: float, K: float, params: WeightParams):
     """Exponent ``L(x,t) = 2a*(t**-K - 1)*phi(x) - (|x|^2 + K)/(8t)``.
 
-    Callers exponentiate only after subtracting a global maximum: with
-    K ~ 60 the raw exponent ranges over many hundreds of orders of
+    ``x`` is a sequence of coordinates: scalars (a 1-D point works too) or
+    arrays that broadcast with each other and with ``t``, which gives ``L``
+    on the whole grid.  ``phi`` is taken in ``phi_eval``'s boundary-exact
+    form.  Callers exponentiate only after subtracting a global maximum:
+    with K ~ 60 the raw exponent ranges over many hundreds of orders of
     magnitude and ``exp(L)`` itself is meaningless in double precision.
     """
-    if not a >= 0.0:
+    if not np.all(a >= 0.0):
         raise ValueError(f"a must be nonnegative, got {a}")
-    x = np.asarray(x, dtype=float)
-    lam = _time_amplification(t, K)
-    r2 = float(np.dot(x, x))
-    return 2.0 * a * lam * phi_eval(x, params) - (r2 + K) / (8.0 * t)
+    if not np.all(K > 0.0):
+        raise ValueError(f"K must be positive, got {K}")
+    if not np.all((t > 0.0) & (t <= 1.0)):
+        raise ValueError(f"t must lie in (0, 1], got {t}")
+    x1 = x[0]
+    r2 = sum(v * v for v in x)
+    if np.any(r2 == 0.0) or np.any(x1 < 0.0):
+        raise ValueError("phi is undefined at the origin and for x1 < 0")
+    m, alpha, eps = params.m, params.alpha, params.epsilon
+    r = np.sqrt(r2)
+    phi = np.power(r, alpha - m) * (np.power(x1, m) - np.power(eps * r, m))
+    return 2.0 * a * (np.power(t, -K) - 1.0) * phi - (r2 + K) / (8.0 * t)

@@ -10,14 +10,13 @@ import time
 import numpy as np
 import pytest
 
-from carleman_cone.algebra import PowerSum
 from carleman_cone.conditions import (
     DIRECT_KEYS,
     build_l,
     direct_feasibility,
     lemma31_check,
 )
-from carleman_cone.identities import boundary_points, sample_cone_points
+from carleman_cone.identities import boundary_points, run_identity_suite, sample_cone_points
 from carleman_cone.quad import BumpFunction, GridSpec, carleman_integrals, verify_carleman
 from carleman_cone.solver import (
     frontier_epsilon,
@@ -25,7 +24,7 @@ from carleman_cone.solver import (
     solve_gamma1,
     uniqueness_horizon,
 )
-from carleman_cone.weights import WeightParams, build_f, grad_phi, hess_phi, phi_eval
+from carleman_cone.weights import WeightParams, phi_eval
 
 from test_solver import elimination_bisection_oracle
 
@@ -135,81 +134,22 @@ def test_criterion_5_certified_condition_suite():
 
 
 def test_criterion_6_structural_identities():
-    failures = []
+    results = run_identity_suite(seed=42, params=PARAMS, dim=2)
+    for r in results:
+        print(f"    {r.name}: {'pass' if r.passed else 'FAIL'} ({r.detail})")
+    failures = [r.name for r in results if not r.passed]
 
-    # l3 = (a^2+a) eps^(2m) + h^m l4 at the coefficient level
-    a, m, eps = PARAMS.alpha, PARAMS.m, PARAMS.epsilon
-    l3 = build_l("l3", PARAMS)
-    l4 = build_l("l4", PARAMS)
-    const = (a * a + a) * math.pow(eps, m) ** 2
-    resid = (l3 - PowerSum.monomial(1.0, m) * l4 - PowerSum.constant(const))
-    if resid.max_abs_coefficient() > 1e-12 * l3.max_abs_coefficient():
-        failures.append("l3 identity")
-
-    # h f'' = (m-1) f' at the coefficient level
-    fp = build_f(m, eps).derivative()
-    resid = PowerSum.monomial(1.0, 1.0) * fp.derivative() - (m - 1.0) * fp
-    if resid.max_abs_coefficient() > 1e-12 * fp.max_abs_coefficient():
-        failures.append("h f'' identity")
-
+    # The suite bounds |phi| on the boundary by 8 eps_mach |x|^alpha, which
+    # is looser than this criterion's absolute 1e-12 above |x| ~ 21; so the
+    # absolute bound is checked here too, on the criterion's own 100
+    # boundary points (drawn from seed 42 after 100 cone points).
     rng = np.random.default_rng(42)
-    pts = sample_cone_points(PARAMS, 100, rng)
-
-    worst_grad = 0.0
-    delta = 1e-6
-    for x in pts:
-        g = grad_phi(x, PARAMS)
-        fd = np.empty(2)
-        for j in range(2):
-            e = np.zeros(2); e[j] = delta
-            fd[j] = (phi_eval(x + e, PARAMS) - phi_eval(x - e, PARAMS)) / (2 * delta)
-        worst_grad = max(worst_grad, float(np.linalg.norm(fd - g) / np.linalg.norm(g)))
-    if worst_grad > 1e-6:
-        failures.append(f"grad FD ({worst_grad:.2e})")
-
-    worst_hess = 0.0
-    delta = 1e-4
-    for x in pts[:50]:
-        H = hess_phi(x, PARAMS)
-        fd = np.empty((2, 2))
-        for i in range(2):
-            for j in range(2):
-                ei = np.zeros(2); ei[i] = delta
-                ej = np.zeros(2); ej[j] = delta
-                fd[i, j] = (
-                    phi_eval(x + ei + ej, PARAMS) - phi_eval(x + ei - ej, PARAMS)
-                    - phi_eval(x - ei + ej, PARAMS) + phi_eval(x - ei - ej, PARAMS)
-                ) / (4 * delta * delta)
-        worst_hess = max(worst_hess, float(np.max(np.abs(fd - H))))
-    if worst_hess > 1e-5:
-        failures.append(f"hess FD ({worst_hess:.2e})")
-
-    worst_hom = 0.0
-    for lam in (0.5, 2.0, 7.0):
-        for x in pts:
-            v = phi_eval(x, PARAMS)
-            worst_hom = max(
-                worst_hom, abs(phi_eval(lam * x, PARAMS) - lam ** a * v) / abs(v)
-            )
-    if worst_hom > 1e-10:
-        failures.append(f"homogeneity ({worst_hom:.2e})")
-
+    sample_cone_points(PARAMS, 100, rng)
     worst_boundary = max(
         abs(phi_eval(x, PARAMS)) for x in boundary_points(PARAMS, 100, rng)
     )
     if worst_boundary > 1e-12:
         failures.append(f"boundary vanishing ({worst_boundary:.2e})")
-
-    worst_eig = math.inf
-    for x in sample_cone_points(PARAMS, 200, rng, h_min_offset=1e-3):
-        r = float(np.linalg.norm(x))
-        h = float(x[0]) / r
-        f = h ** m - eps ** m
-        fpv = m * h ** (m - 1.0)
-        B = r ** (2.0 - a) * hess_phi(x, PARAMS) - (a * f - h * fpv) * np.eye(2)
-        worst_eig = min(worst_eig, float(np.min(np.linalg.eigvalsh(B))))
-    if worst_eig < -1e-10:
-        failures.append(f"correction PSD ({worst_eig:.2e})")
 
     report(
         6, "structural identities",

@@ -41,6 +41,23 @@ class TestParseConfig:
         with pytest.raises(UsageError):
             parse_config(["solve", "--bogus", "1"])
 
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--csv", "out.csv", "--K", "5"],
+        ["gamma1", "--m", "2.5"],
+        ["identities", "--tol", "1e-3"],
+    ])
+    def test_flag_of_another_subcommand_exits_3(self, argv, capsys):
+        assert main(argv) == 3
+        assert "usage error" in capsys.readouterr().err
+
+    def test_unknown_family_rejected(self):
+        with pytest.raises(UsageError, match="family"):
+            parse_config(["frontier"], file_text="family = beta")
+
+    def test_config_keys_accepted_by_every_subcommand(self):
+        cfg = parse_config(["gamma1"], file_text="m = 2.5\ncsv = out.csv\nK = 5")
+        assert cfg.m == 2.5 and cfg.csv_path == "out.csv" and cfg.K == 5.0
+
     def test_missing_subcommand(self):
         with pytest.raises(UsageError):
             parse_config([])
@@ -98,15 +115,14 @@ class TestSolveCommand:
         assert "error" in doc["result"]
 
     def test_json_roundtrip(self):
+        # solve takes no weight flags; the envelope's params go in a config file
         code, doc = run_json(["solve"])
-        params = doc["params"]
-        argv = [
-            "solve",
-            "--m", repr(params["m"]), "--alpha", repr(params["alpha"]),
-            "--gamma", repr(params["gamma"]), "--eps", repr(params["eps"]),
-        ]
-        code2, doc2 = run_json(argv)
-        assert doc2["result"] == doc["result"]
+        text = "\n".join(f"{key} = {doc['params'][key]!r}"
+                         for key in ("m", "alpha", "gamma", "eps"))
+        cfg = parse_config(["solve", "--json"], file_text=text)
+        buf = io.StringIO()
+        assert execute(cfg, stream=buf) == code
+        assert json.loads(buf.getvalue())["result"] == doc["result"]
 
 
 class TestGamma1Command:

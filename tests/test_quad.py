@@ -9,9 +9,8 @@ from carleman_cone.quad import (
     CarlemanReport,
     GridSpec,
     SupportViolationError,
-    bump_eval,
+    _fields_on_grid,
     carleman_integrals,
-    heat_residual,
     verify_carleman,
 )
 from carleman_cone.weights import WeightParams, log_weight
@@ -20,46 +19,24 @@ PARAMS = WeightParams(m=2.46, alpha=1.999, gamma=0.8092, epsilon=0.60)
 BUMP = BumpFunction(amplitude=1.0, center=(4.0, 0.0, 0.5), radii=(0.8, 0.8, 0.3))
 
 
-class QuadraticProbe:
-    """u(x, t) = x1^2: heat residual is exactly 2."""
-
-    def evaluate(self, x, t):
-        x = np.asarray(x, dtype=float)
-        grad = np.zeros(x.size)
-        grad[0] = 2.0 * x[0]
-        return float(x[0] ** 2), grad, 2.0, 0.0
-
-
-class BackwardCaloricProbe:
-    """u(x, t) = (4 pi (1-t))^(-n/2) exp(-|x|^2 / (4 (1-t))): residual 0."""
-
-    def __init__(self, dim=2):
-        self.dim = dim
-
-    def evaluate(self, x, t):
-        x = np.asarray(x, dtype=float)
-        tau = 1.0 - t
-        value = (4.0 * math.pi * tau) ** (-self.dim / 2.0) * math.exp(
-            -float(np.dot(x, x)) / (4.0 * tau)
-        )
-        grad = -x / (2.0 * tau) * value
-        lap = value * (float(np.dot(x, x)) / (4.0 * tau * tau) - self.dim / (2.0 * tau))
-        dt = lap  # d/dt = -d/dtau, and d/dtau equals the Laplacian; sign flips
-        return value, grad, lap, -lap
+def fields_at(u, x, t):
+    """(value, gradient, Laplacian, time derivative) at one point, on one-node axes."""
+    value, grads, lap, dt = _fields_on_grid(u, [np.array([v]) for v in (*x, t)], len(x))
+    return value.item(), np.array([g.item() for g in grads]), lap.item(), dt.item()
 
 
 class TestBumpFunction:
     def test_center_value_and_symmetry(self):
-        v, g, lap, dt = bump_eval(BUMP, (4.0, 0.0), 0.5)
+        v, g, lap, dt = fields_at(BUMP, (4.0, 0.0), 0.5)
         assert v == pytest.approx(math.exp(-3.0), rel=1e-14)
         assert np.allclose(g, 0.0)
         assert dt == 0.0
 
     def test_outside_support_zero(self):
-        v, g, lap, dt = bump_eval(BUMP, (6.0, 0.0), 0.5)
+        v, g, lap, dt = fields_at(BUMP, (6.0, 0.0), 0.5)
         assert v == 0.0 and lap == 0.0 and dt == 0.0
         assert np.all(g == 0.0)
-        v, _, _, _ = bump_eval(BUMP, (4.0, 0.0), 0.95)
+        v, _, _, _ = fields_at(BUMP, (4.0, 0.0), 0.95)
         assert v == 0.0
 
     def test_finite_difference_match(self):
@@ -71,15 +48,15 @@ class TestBumpFunction:
                 rng.uniform(-0.6, 0.6),
             ])
             t = float(rng.uniform(0.28, 0.72))
-            v, g, lap, dt = bump_eval(BUMP, x, t)
+            v, g, lap, dt = fields_at(BUMP, x, t)
             for j in range(2):
                 e = np.zeros(2); e[j] = d1
-                fd = (bump_eval(BUMP, x + e, t)[0] - bump_eval(BUMP, x - e, t)[0]) / (2 * d1)
+                fd = (fields_at(BUMP, x + e, t)[0] - fields_at(BUMP, x - e, t)[0]) / (2 * d1)
                 assert abs(fd - g[j]) <= 1e-5
-            fdt = (bump_eval(BUMP, x, t + d1)[0] - bump_eval(BUMP, x, t - d1)[0]) / (2 * d1)
+            fdt = (fields_at(BUMP, x, t + d1)[0] - fields_at(BUMP, x, t - d1)[0]) / (2 * d1)
             assert abs(fdt - dt) <= 1e-5
             fdl = sum(
-                (bump_eval(BUMP, x + d2 * e, t)[0] - 2 * v + bump_eval(BUMP, x - d2 * e, t)[0])
+                (fields_at(BUMP, x + d2 * e, t)[0] - 2 * v + fields_at(BUMP, x - d2 * e, t)[0])
                 / d2 ** 2
                 for e in np.eye(2)
             )
@@ -97,9 +74,9 @@ class TestBumpSum:
         other = BumpFunction(amplitude=0.5, center=(4.5, 0.2, 0.5), radii=(0.2, 0.2, 0.2))
         combo = BumpSum((BUMP, other))
         x, t = (4.45, 0.15), 0.45
-        v, g, lap, dt = combo.evaluate(x, t)
-        v1, g1, l1, d1 = BUMP.evaluate(x, t)
-        v2, g2, l2, d2 = other.evaluate(x, t)
+        v, g, lap, dt = fields_at(combo, x, t)
+        v1, g1, l1, d1 = fields_at(BUMP, x, t)
+        v2, g2, l2, d2 = fields_at(other, x, t)
         assert v == pytest.approx(v1 + v2, rel=1e-14)
         assert np.allclose(g, g1 + g2)
         assert lap == pytest.approx(l1 + l2, rel=1e-12)
@@ -116,34 +93,12 @@ class TestBumpSum:
             BumpSum((BUMP,) * 5)
 
 
-class TestHeatResidual:
-    def test_outside_support(self):
-        assert heat_residual(BUMP, (9.0, 9.0), 0.5) == 0.0
-
-    def test_quadratic_probe(self):
-        assert heat_residual(QuadraticProbe(), (3.7, 0.4), 0.3) == 2.0
-
-    def test_backward_caloric_probe(self):
-        probe = BackwardCaloricProbe(dim=2)
-        rng = np.random.default_rng(67)
-        for _ in range(20):
-            x = rng.uniform(-2.0, 2.0, size=2)
-            t = float(rng.uniform(0.1, 0.9))
-            assert abs(heat_residual(probe, x, t)) <= 1e-10
-            # cross-check the probe itself against finite differences
-            d = 1e-6
-            v = probe.evaluate(x, t)[0]
-            fdt = (probe.evaluate(x, t + d)[0] - probe.evaluate(x, t - d)[0]) / (2 * d)
-            assert fdt == pytest.approx(probe.evaluate(x, t)[3], rel=1e-5, abs=1e-9)
-
-
 class TestGridSpec:
     def test_counts_validated(self):
         with pytest.raises(ValueError):
             GridSpec(counts=(7, 9, 9), box=BUMP.support)
         with pytest.raises(ValueError):
-            GridSpec(counts=(10, 9, 9), box=BUMP.support, rule="simpson")
-        GridSpec(counts=(10, 10, 10), box=BUMP.support, rule="midpoint")
+            GridSpec(counts=(10, 9, 9), box=BUMP.support)
 
     def test_simpson_weights_sum_to_length(self):
         grid = GridSpec.from_support(BUMP, 41)
@@ -152,13 +107,6 @@ class TestGridSpec:
             lo, hi = grid.box[axis]
             assert weights.sum() == pytest.approx(hi - lo, rel=1e-12)
             assert nodes[0] == lo and nodes[-1] == hi
-
-    def test_midpoint_nodes_interior(self):
-        grid = GridSpec(counts=(8, 8, 8), box=BUMP.support, rule="midpoint")
-        nodes, weights = grid.axis_nodes_weights(0)
-        lo, hi = grid.box[0]
-        assert lo < nodes[0] and nodes[-1] < hi
-        assert weights.sum() == pytest.approx(hi - lo, rel=1e-12)
 
 
 class TestCarlemanIntegrals:
@@ -324,26 +272,6 @@ class TestCarlemanIntegrals:
         assert drift < 0.05
 
 
-class TestGridFields:
-    def test_grid_fields_match_scalar_closed_forms(self):
-        # the quadrature consumes closed-form fields on the grid, identical
-        # to pointwise bump_eval (no finite differences involved)
-        from carleman_cone.quad import _fields_on_grid
-
-        grid = GridSpec.from_support(BUMP, 9)
-        axes = [grid.axis_nodes_weights(i)[0] for i in range(3)]
-        value, grads, lap, dt = _fields_on_grid(BUMP, axes, 2)
-        rng = np.random.default_rng(71)
-        for _ in range(40):
-            i, j, k = (int(rng.integers(0, 9)) for _ in range(3))
-            v, g, l, d = bump_eval(BUMP, (axes[0][i], axes[1][j]), float(axes[2][k]))
-            assert value[i, j, k] == pytest.approx(v, rel=1e-12, abs=1e-300)
-            assert grads[0][i, j, k] == pytest.approx(g[0], rel=1e-12, abs=1e-300)
-            assert grads[1][i, j, k] == pytest.approx(g[1], rel=1e-12, abs=1e-300)
-            assert lap[i, j, k] == pytest.approx(l, rel=1e-12, abs=1e-300)
-            assert dt[i, j, k] == pytest.approx(d, rel=1e-12, abs=1e-300)
-
-
 def laplace_ratio(mp, a, K=60.0):
     """lhs/rhs of the 2-D default bump by Laplace's method, at 60 digits.
 
@@ -401,8 +329,6 @@ def laplace_ratio(mp, a, K=60.0):
 
 def simpson_ratio(u, a, K, n=161):
     """lhs/rhs by plain tensor Simpson on n nodes per axis, one time slice at a time."""
-    from carleman_cone.quad import _fields_on_grid
-
     grid = GridSpec.from_support(u, n)
     (x1, w1), (x2, w2), (t, wt) = (grid.axis_nodes_weights(i) for i in range(3))
     r2 = x1[:, None] ** 2 + x2[None, :] ** 2

@@ -5,13 +5,8 @@ import pytest
 
 from carleman_cone.identities import boundary_points, sample_cone_points
 from carleman_cone.weights import (
-    ConeGeometry,
-    SpaceTimePoint,
     WeightParams,
     build_f,
-    cone_contains,
-    cone_convert,
-    field_H_F,
     grad_phi,
     hess_phi,
     log_weight,
@@ -40,73 +35,31 @@ class TestWeightParams:
         assert not q.m_in_core_range
 
 
-class TestConeGeometry:
-    def test_epsilon_to_theta_headline(self):
-        geom = cone_convert(epsilon=0.6495)
-        assert geom.theta_deg == pytest.approx(98.99, abs=0.01)
-
-    def test_theta_right_angle_limit(self):
-        geom = ConeGeometry.from_theta(math.pi - 1e-9)
-        assert geom.epsilon == pytest.approx(math.cos((math.pi - 1e-9) / 2), rel=1e-12)
-        assert geom.epsilon < 1e-8
-
-    def test_sqrt_third_gives_109_47(self):
-        geom = cone_convert(epsilon=math.sqrt(1.0 / 3.0))
-        assert geom.theta_deg == pytest.approx(109.47, abs=0.01)
-
-    def test_exactly_one_input(self):
-        with pytest.raises(ValueError):
-            cone_convert()
-        with pytest.raises(ValueError):
-            cone_convert(theta=2.0, epsilon=0.5)
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            cone_convert(theta=3.5)
-        with pytest.raises(ValueError):
-            cone_convert(epsilon=1.0)
-
-
 class TestConeContains:
+    """The cone is where phi > 0; its computed boundary gives exactly 0."""
+
+    @staticmethod
+    def params(eps):
+        return WeightParams(m=2.46, alpha=1.999, gamma=0.8092, epsilon=eps)
+
     def test_axis_point_inside(self):
-        geom = ConeGeometry.from_epsilon(0.99)
-        assert cone_contains((1.0, 0.0), geom)
+        assert phi_eval((1.0, 0.0), self.params(0.99)) > 0.0
 
     def test_perpendicular_outside(self):
-        geom = ConeGeometry.from_epsilon(0.01)
-        assert not cone_contains((0.0, 1.0), geom)
+        assert phi_eval((0.0, 1.0), self.params(0.01)) < 0.0
 
     def test_boundary_excluded(self):
         # x = (3, 4) has |x| = 5 exactly and x1 == fl(0.6 * 5)
-        geom = ConeGeometry.from_epsilon(0.6)
         assert 0.6 * 5.0 == 3.0
-        assert not cone_contains((3.0, 4.0), geom)
+        assert phi_eval((3.0, 4.0), self.params(0.6)) == 0.0
 
     def test_constructed_unit_boundary_point(self):
         # x2 = sqrt(1 - eps^2) makes |x| exactly 1.0 here, so x1 == eps|x|
         eps = 0.6495
-        geom = ConeGeometry.from_epsilon(eps)
         x2 = math.sqrt(1.0 - eps * eps)
         assert x2 == pytest.approx(0.7603, abs=1e-4)
         assert math.hypot(eps, x2) == 1.0
-        assert not cone_contains((eps, x2), geom)
-
-
-class TestSpaceTimePoint:
-    def test_membership(self):
-        assert SpaceTimePoint((4.0, 0.0), 0.5).in_Q(0.6)
-        assert not SpaceTimePoint((0.9, 0.0), 0.5).in_Q(0.6)      # x1 <= 1
-        assert not SpaceTimePoint((2.0, 3.0), 0.5).in_Q(0.6)      # outside cone
-        assert not SpaceTimePoint((4.0, 0.0), 1.0).in_Q(0.6)      # t = 1 excluded
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SpaceTimePoint((4.0, 0.0), 0.0)
-        with pytest.raises(ValueError):
-            SpaceTimePoint((0.0, 0.0), 0.5)
-
-    def test_radius(self):
-        assert SpaceTimePoint((3.0, 4.0), 0.5).r == 5.0
+        assert phi_eval((eps, x2), self.params(eps)) == 0.0
 
 
 class TestProfile:
@@ -261,34 +214,6 @@ class TestHessPhi:
             assert np.max(np.abs(fd - H)) <= 1e-5
 
 
-class TestTimeFields:
-    def test_t_equal_one(self):
-        H, F = field_H_F((2.0, 0.5), 1.0, a=3.0, K=60.0, params=PARAMS)
-        assert H == 0.0
-        assert F == 3.0
-
-    def test_a_zero(self):
-        H, F = field_H_F((2.0, 0.5), 0.25, a=0.0, K=60.0, params=PARAMS)
-        assert H == 0.0
-        assert F == pytest.approx(3.0 / 0.25)
-
-    def test_H_nonpositive_F_above_3_over_t(self):
-        rng = np.random.default_rng(41)
-        for x in sample_cone_points(PARAMS, 100, rng):
-            t = float(rng.uniform(0.05, 1.0))
-            H, F = field_H_F(x, t, a=1.7, K=60.0, params=PARAMS)
-            assert H <= 0.0
-            assert F >= 3.0 / t
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            field_H_F((2.0, 0.0), 0.0, a=1.0, K=60.0, params=PARAMS)
-        with pytest.raises(ValueError):
-            field_H_F((2.0, 0.0), 0.5, a=-1.0, K=60.0, params=PARAMS)
-        with pytest.raises(ValueError):
-            field_H_F((2.0, 0.0), 0.5, a=1.0, K=0.0, params=PARAMS)
-
-
 class TestLogWeight:
     def test_t_equal_one(self):
         x = (3.0, 1.0)
@@ -314,3 +239,26 @@ class TestLogWeight:
                     - (float(np.dot(x, x)) + K) / (8.0 * t)
                 )
                 assert log_weight(x, t, a, K, PARAMS) == pytest.approx(expected, rel=1e-12)
+
+    def test_array_input_matches_pointwise(self):
+        # a tensor grid of coordinates and times against one call per point
+        x1 = np.linspace(3.2, 4.8, 5)[:, None, None]
+        x2 = np.linspace(-0.8, 0.8, 4)[None, :, None]
+        t = np.linspace(0.2, 0.8, 3)[None, None, :]
+        a, K = 1.5, 60.0
+        grid = log_weight((x1, x2), t, a, K, PARAMS)
+        assert grid.shape == (5, 4, 3)
+        for i, j, k in np.ndindex(grid.shape):
+            point = log_weight(np.array([x1[i, 0, 0], x2[0, j, 0]]), float(t[0, 0, k]),
+                               a, K, PARAMS)
+            assert grid[i, j, k] == pytest.approx(point, rel=1e-14)
+
+    def test_domain_errors(self):
+        with pytest.raises(ValueError):
+            log_weight((2.0, 0.0), 0.0, a=1.0, K=60.0, params=PARAMS)
+        with pytest.raises(ValueError):
+            log_weight((2.0, 0.0), np.array([0.5, 0.0]), a=1.0, K=60.0, params=PARAMS)
+        with pytest.raises(ValueError):
+            log_weight((2.0, 0.0), 0.5, a=-1.0, K=60.0, params=PARAMS)
+        with pytest.raises(ValueError):
+            log_weight((2.0, 0.0), 0.5, a=1.0, K=0.0, params=PARAMS)
