@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -143,7 +144,13 @@ def _parse_init(text: str) -> tuple[float, float, float]:
         raise UsageError(f"bad init {text!r}: {exc}") from exc
 
 
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> _Parser:
+    """The argparse tree of every subcommand, built on first use and then reused.
+
+    Not built at import, which every process pays for.  ``parse_args``
+    leaves the parser as it was, so one instance serves every call.
+    """
     parser = _Parser(prog="carleman-cone")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command")

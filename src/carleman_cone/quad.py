@@ -22,13 +22,16 @@ its (log) distance to the nearer support edge; each axis is split there and
 graded by a sinh map with Gauss-Legendre nodes from the Laplace width out
 to the edge; ``F - F*`` is evaluated as an expansion about the peak whose
 terms keep their relative precision; and both sides are accumulated
-against the same ``exp(F - F*)``, streamed over the time nodes.  ``lhs``
-and ``rhs`` are reported relative to ``exp(CarlemanReport.log_scale)``.
+against the same ``exp(F - F*)``, streamed over blocks of spatial nodes,
+each against all time nodes in one matrix product.  ``lhs`` and ``rhs`` are
+reported relative to ``exp(CarlemanReport.log_scale)``.
 
 The requested ``GridSpec`` sets the rule's node counts and the box;
 Newton's method starts from the best node of a fixed lattice of
 ``_START_NODES`` per axis over each bump's part of that box, whatever the
-counts, with ``L`` on the lattice from ``weights.log_weight``.
+counts, with ``L`` on the lattice from ``weights.log_weight``.  An axis
+whose best node is next to an edge starts instead where the slope of
+``2 log b`` balances that of ``F`` (``_newton_start``).
 """
 
 from __future__ import annotations
@@ -275,7 +278,7 @@ _EXP_FLOOR = -700.0
 # peak, on the inside node nearest the right edges, so the lattice does not
 # grow with the grid.
 _START_NODES = 17
-# Nodes in one streamed block of the time axis.
+# Exponents in one streamed block of spatial rows (times all time nodes).
 _BLOCK_NODES = 1 << 17
 _NEWTON_STEPS = 500
 _EPS = float(np.finfo(float).eps)
@@ -696,15 +699,21 @@ def _axis_rule(axis: int, n: int, peaks, edges, dom, drop):
 
 
 def _stream(X, T, shift: float, R) -> np.ndarray:
-    """``exp(X @ T + shift) @ R``, one block of time columns at a time."""
-    block = max(1, _BLOCK_NODES // X.shape[0])
-    out = np.zeros((X.shape[0], R.shape[1]))
-    for j in range(0, T.shape[1], block):
-        E = X @ T[:, j:j + block]
+    """``exp(max(X @ T + shift, _EXP_FLOOR)) @ R``, one block of spatial rows at a time.
+
+    A block holds ``_BLOCK_NODES // T.shape[1]`` rows of ``X`` (at least
+    one), so its exponents take at most ``max(_BLOCK_NODES, T.shape[1])``
+    doubles whatever the grid; each block is one product over the whole
+    time axis and writes its rows of the result once.
+    """
+    block = max(1, _BLOCK_NODES // T.shape[1])
+    out = np.empty((X.shape[0], R.shape[1]))
+    for i in range(0, X.shape[0], block):
+        E = X[i:i + block] @ T
         E += shift
         np.maximum(E, _EXP_FLOOR, out=E)
         np.exp(E, out=E)
-        out += E @ R[j:j + block]
+        out[i:i + block] = E @ R
     return out
 
 
@@ -718,6 +727,19 @@ def _newton_start(lo, hi, s, box_lo, box_hi, params: WeightParams, a, K, unit_we
     inside node gets mode +1 (-1), so Newton moves it in the log of its
     distance to the nearer edge, where a concentrated peak sits; the other
     axes get mode 0.
+
+    A concentrated peak sits far closer to the edges than any lattice node,
+    and Newton, far from it, gains only about one unit of log edge distance
+    per step.  So an axis of mode +1 (-1) first moves to the balance point:
+    near an edge ``2 log b ~ -s/e``, whose slope ``s/e^2`` meets the slope
+    ``|g|`` of ``F`` at ``e = sqrt(s/|g|)``.  Where ``g`` points towards
+    that edge, the axis takes the smaller of its edge distance and this
+    ``e``, held to full precision in the gaps.  ``g`` grows steeply towards
+    the edge, so it is taken again at the moved point and the balance
+    applied once more.  It is the slope of all of ``F``, not of the weight
+    alone, so an axis moves only where the weight's pull outweighs the
+    bump's own slope, and never onto the box's edge where the box clips
+    the bump.  Mode-0 axes and ``unit_weight`` keep the lattice start.
     """
     axes = [np.linspace(start, stop, _START_NODES)
             for start, stop in zip(np.maximum(lo, box_lo), np.minimum(hi, box_hi))]
@@ -732,7 +754,21 @@ def _newton_start(lo, hi, s, box_lo, box_hi, params: WeightParams, a, K, unit_we
         inside = np.nonzero((axes[i] > lo[i]) & (axes[i] < hi[i]))[0]
         if j in (inside[0], inside[-1]):
             modes[i] = 1.0 if x[i] - lo[i] <= hi[i] - x[i] else -1.0
-    return _Point(x, x - lo, hi - x), modes
+    point = _Point(x, x - lo, hi - x)
+    if unit_weight or not np.any(modes):
+        return point, modes
+    for _ in range(2):
+        g = _grad_hess(point, s, np.zeros_like(modes), params, a, K, unit_weight)[0]
+        x, lo_gap, hi_gap = point.x.copy(), point.lo_gap.copy(), point.hi_gap.copy()
+        for i in np.nonzero(np.isfinite(g) & (modes * g < 0.0))[0]:
+            floor = box_lo[i] - lo[i] if modes[i] > 0 else hi[i] - box_hi[i]
+            e = max(math.sqrt(s[i] / abs(g[i])), floor)
+            if modes[i] > 0 and e < lo_gap[i]:
+                lo_gap[i], hi_gap[i], x[i] = e, (hi[i] - lo[i]) - e, lo[i] + e
+            elif modes[i] < 0 and e < hi_gap[i]:
+                lo_gap[i], hi_gap[i], x[i] = (hi[i] - lo[i]) - e, e, hi[i] - e
+        point = _Point(x, lo_gap, hi_gap)
+    return point, modes
 
 
 def carleman_integrals(
@@ -750,12 +786,13 @@ def carleman_integrals(
     ``(u_t + lap u)^2`` against the weight ``exp(L)``.  For each bump the
     joint maximiser of ``F = L + 2 log|u|`` is found by Newton's method,
     started from the argmax of ``F`` on a lattice of ``_START_NODES`` per
-    axis over the bump's part of ``grid.box``.  Each axis is split at the peak, and
+    axis over the bump's part of ``grid.box``, moved towards an edge to the
+    balance point (``_newton_start``).  Each axis is split at the peak, and
     ``grid.counts[i]`` Gauss-Legendre nodes are placed on the two sides,
     graded by a sinh map from the Laplace width ``sigma_i`` out to the
     edge.  The integrand is evaluated as ``exp(F - F*)`` times the payloads
-    divided by ``u^2``, expanded about the peak, and streamed over the time
-    nodes.  A ``BumpSum`` splits each axis at every bump's peak
+    divided by ``u^2``, expanded about the peak, and streamed over blocks
+    of spatial nodes.  A ``BumpSum`` splits each axis at every bump's peak
     (and at every bump edge) and sums the products of its bumps pairwise.
     ``lhs`` and ``rhs`` are reported relative to ``exp(log_scale)``, the
     left integrand's Laplace scale (see CarlemanReport).

@@ -76,6 +76,17 @@ class TestParseConfig:
         cfg = parse_config(["quadrature", "--a", "0.5", "--a", "2.0"])
         assert cfg.a_list == [0.5, 2.0]
 
+    def test_parser_is_shared_and_keeps_no_state(self, capsys):
+        from carleman_cone.cli import _build_parser
+
+        assert _build_parser() is _build_parser()
+        assert parse_config(["quadrature", "--a", "1", "--a", "2"]).a_list == [1.0, 2.0]
+        assert parse_config(["quadrature"]).a_list == [0.1, 1.0, 10.0]
+        with pytest.raises(UsageError):
+            parse_config(["solve", "--K", "5"])
+        assert main(["solve", "--K", "5"]) == 3
+        assert "usage error" in capsys.readouterr().err
+
     def test_config_file_and_precedence(self):
         text = "\n".join([
             "# comment line",

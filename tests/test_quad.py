@@ -419,6 +419,54 @@ class TestPeakResolvingRule:
                                        unit_weight=True).rhs for b in combo.bumps)
         assert rep.rhs == pytest.approx(alone, rel=1e-3)
 
+    @pytest.mark.parametrize("dim, K, a", [
+        (2, 60.0, 0.1), (2, 60.0, 1.0), (2, 60.0, 10.0), (3, 60.0, 1.0),
+        (2, 120.0, 1.0), (2, 200.0, 1.0),
+    ])
+    def test_newton_work_is_bounded(self, dim, K, a, monkeypatch):
+        # far from a concentrated peak Newton gains about one unit of log
+        # edge distance per step; the balance start lands within a few
+        import carleman_cone.quad as quad_mod
+
+        calls = []
+        real = quad_mod._grad_hess
+
+        def counting(*args, **kwargs):
+            calls.append(None)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(quad_mod, "_grad_hess", counting)
+        u = BUMP if dim == 2 else BumpFunction(1.0, (4.0, 0.0, 0.0, 0.5), (0.8, 0.8, 0.8, 0.3))
+        rep = carleman_integrals(u, PARAMS, a, K, GridSpec.from_support(u, 21))
+        assert rep.passed
+        assert len(calls) <= 16
+
+
+class TestStream:
+    """The blocked kernel equals the dense product it stands for."""
+
+    @pytest.mark.parametrize("block_nodes", [1, 7, 64])
+    @pytest.mark.parametrize("rows, inner, cols", [
+        (1, 5, 3),  # a single spatial row
+        (30, 5, 5),  # 64 // 5 = 12 rows a block: the last one is partly full
+        (11, 5, 1),  # a single time column
+        (23, 10, 9),  # the 10 exponent columns of a BumpSum pair
+    ])
+    def test_matches_dense_product(self, block_nodes, rows, inner, cols, monkeypatch):
+        import carleman_cone.quad as quad_mod
+
+        rng = np.random.default_rng(1000 * rows + cols)
+        # quarter-integer exponents are exact in any summation order, so
+        # only the blocking can tell the two apart; some fall below the floor
+        X = rng.integers(-30, 31, (rows, inner)).astype(float)
+        T = rng.integers(-4, 5, (inner, cols)) / 4.0
+        R = rng.uniform(0.1, 1.0, (cols, 4))
+        shift = -680.0
+        dense = np.exp(np.maximum(X @ T + shift, quad_mod._EXP_FLOOR)) @ R
+        monkeypatch.setattr(quad_mod, "_BLOCK_NODES", block_nodes)
+        streamed = quad_mod._stream(X, T, shift, R)
+        np.testing.assert_allclose(streamed, dense, rtol=1e-13, atol=0.0)
+
 
 class TestVerifyCarleman:
     def test_all_a_pass_within_cap(self):
