@@ -90,9 +90,6 @@ class Interval:
     def contains(self, x: float) -> bool:
         return self.lo <= x <= self.hi
 
-    def straddles_zero(self) -> bool:
-        return self.lo < 0.0 < self.hi
-
     def hull(self, other: "Interval") -> "Interval":
         return Interval(min(self.lo, other.lo), max(self.hi, other.hi))
 
@@ -182,9 +179,6 @@ class PowerSum:
         return PowerSum(((c, p),))
 
     # -- queries -----------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def coefficient(self, p: float) -> float:
         for c, q in self.terms:

@@ -307,6 +307,13 @@ def _validate(cfg: RunConfig) -> None:
     if cmd == "quadrature":
         _require(cfg.K > 0.0, "K", f"must be positive, got {cfg.K}")
         _require(cfg.K_cap >= cfg.K, "K_cap", f"must be >= K, got {cfg.K_cap}")
+        # Newton's Hessian of the weight carries t**-(K+2), largest at the
+        # lower end t_lo of the grid's time axis; past float64 it overflows.
+        t_lo = default_bump(cfg.dim).support[-1][0]
+        k_max = math.floor(1e3 * (math.log(sys.float_info.max) / -math.log(t_lo) - 2.0)) / 1e3
+        _require(cfg.K_cap <= k_max, "K_cap",
+                 f"t_lo**-(K_cap+2) leaves the float64 range for t_lo = {t_lo:g}; "
+                 f"the largest admissible K is {k_max:g}, got {cfg.K_cap}")
         _require(all(a >= 0.0 for a in cfg.a_list), "a", "all values must be >= 0")
         _require(cfg.grid >= 9 and cfg.grid % 2 == 1, "grid",
                  f"simpson grids need an odd count >= 9, got {cfg.grid}")

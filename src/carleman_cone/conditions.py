@@ -41,7 +41,6 @@ __all__ = [
     "lemma31_check",
     "gamma_condition",
     "build_l",
-    "build_l_expanded",
     "sufficient_route_check",
     "direct_feasibility",
     "l1_boundary_law",
@@ -232,19 +231,6 @@ def build_l(which: str, params: WeightParams) -> PowerSum:
             (-(2.0 * a * a + 2.0 * a - m) * em, 0.0),
         ))
     raise ValueError(f"unknown expression {which!r}")
-
-
-def build_l_expanded(which: str, params: WeightParams) -> PowerSum:
-    """Expanded closed form of l2 for cross-checking its builder."""
-    if which != "l2":
-        raise ValueError(f"no expanded form for {which!r}")
-    a, m = params.alpha, params.m
-    coef = a * a - params.gamma ** 2 * (m - 1.0) / 4.0
-    return PowerSum((
-        (coef - (m * m + m) / 2.0, m),
-        ((m * m - m) / 2.0, m - 2.0),
-        (-coef * math.pow(params.epsilon, m), 0.0),
-    ))
 
 
 def l1_boundary_law(params: WeightParams) -> float:

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import conditions
 from .algebra import PowerSum
-from .weights import WeightParams, grad_phi, hess_phi, phi_eval
+from .weights import WeightParams, _radius, grad_phi, hess_phi, phi_eval
 
 __all__ = ["IdentityResult", "run_identity_suite", "sample_cone_points"]
 
@@ -102,66 +102,59 @@ def _derivative_consistency(params: WeightParams, rng: np.random.Generator) -> I
     )
 
 
+def _shifted(pts: np.ndarray, delta: float) -> np.ndarray:
+    """``pts +- delta e_j`` for every sign and axis, indexed (sign, j, *pts.shape).
+
+    The last axis is the coordinate; ``np.moveaxis(..., -1, 0)`` turns the
+    stack into the weights' coordinate sequence.
+    """
+    dim = pts.shape[-1]
+    steps = np.array([delta, -delta])[:, None, None] * np.eye(dim)
+    return pts + steps.reshape((2, dim) + (1,) * (pts.ndim - 1) + (dim,))
+
+
 def _grad_fd(params: WeightParams, rng: np.random.Generator, dim: int) -> IdentityResult:
     pts = sample_cone_points(params, 100, rng, dim=dim)
     delta = 1e-6
-    worst = 0.0
-    for x in pts:
-        g = grad_phi(x, params)
-        fd = np.empty(dim)
-        for j in range(dim):
-            step = np.zeros(dim)
-            step[j] = delta
-            fd[j] = (phi_eval(x + step, params) - phi_eval(x - step, params)) / (2.0 * delta)
-        worst = max(worst, float(np.linalg.norm(fd - g) / max(np.linalg.norm(g), 1e-12)))
+    g = grad_phi(pts.T, params)
+    v = phi_eval(np.moveaxis(_shifted(pts, delta), -1, 0), params)
+    fd = (v[0] - v[1]) / (2.0 * delta)
+    err = np.linalg.norm(fd - g, axis=0) / np.maximum(np.linalg.norm(g, axis=0), 1e-12)
+    worst = float(np.max(err))
     return IdentityResult("grad_phi_fd", worst <= 1e-6, f"worst relative error {worst:.3g}")
 
 
 def _hess_fd(params: WeightParams, rng: np.random.Generator, dim: int) -> IdentityResult:
     pts = sample_cone_points(params, 50, rng, dim=dim)
     delta = 1e-4
-    worst = 0.0
-    for x in pts:
-        H = hess_phi(x, params)
-        fd = np.empty((dim, dim))
-        for i in range(dim):
-            for j in range(dim):
-                ei = np.zeros(dim); ei[i] = delta
-                ej = np.zeros(dim); ej[j] = delta
-                fd[i, j] = (
-                    phi_eval(x + ei + ej, params)
-                    - phi_eval(x + ei - ej, params)
-                    - phi_eval(x - ei + ej, params)
-                    + phi_eval(x - ei - ej, params)
-                ) / (4.0 * delta * delta)
-        worst = max(worst, float(np.max(np.abs(fd - H))))
+    H = hess_phi(pts.T, params)
+    # v[sj, j, si, i] = phi((x + si e_i) + sj e_j), the order of the stencil's sums
+    v = phi_eval(np.moveaxis(_shifted(_shifted(pts, delta), delta), -1, 0), params)
+    fd = (v[0, :, 0] - v[1, :, 0] - v[0, :, 1] + v[1, :, 1]) / (4.0 * delta * delta)
+    worst = float(np.max(np.abs(fd.swapaxes(0, 1) - H)))
     return IdentityResult("hess_phi_fd", worst <= 1e-5, f"worst absolute error {worst:.3g}")
 
 
 def _homogeneity(params: WeightParams, rng: np.random.Generator, dim: int) -> IdentityResult:
     pts = sample_cone_points(params, 100, rng, dim=dim)
     a = params.alpha
-    worst = 0.0
-    for lam in (0.5, 2.0, 7.0):
-        for x in pts:
-            v = phi_eval(x, params)
-            worst = max(worst, abs(phi_eval(lam * x, params) - lam ** a * v) / abs(v))
-            g = grad_phi(x, params)
-            gd = np.linalg.norm(grad_phi(lam * x, params) - lam ** (a - 1.0) * g)
-            worst = max(worst, float(gd / np.linalg.norm(g)))
-            H = hess_phi(x, params)
-            hd = np.max(np.abs(hess_phi(lam * x, params) - lam ** (a - 2.0) * H))
-            worst = max(worst, float(hd / np.max(np.abs(H))))
+    lam = np.array([0.5, 2.0, 7.0])[:, None]
+    # row 0 holds the points, row k their scaling by lam[k - 1]
+    xs = np.moveaxis(np.concatenate([pts[None], lam[:, :, None] * pts]), -1, 0)
+    v, g, H = phi_eval(xs, params), grad_phi(xs, params), hess_phi(xs, params)
+    dv = np.abs(v[1:] - lam ** a * v[0]) / np.abs(v[0])
+    dg = np.linalg.norm(g[:, 1:] - lam ** (a - 1.0) * g[:, :1], axis=0) / np.linalg.norm(g[:, 0], axis=0)
+    dH = (np.max(np.abs(H[:, :, 1:] - lam ** (a - 2.0) * H[:, :, :1]), axis=(0, 1))
+          / np.max(np.abs(H[:, :, 0]), axis=(0, 1)))
+    worst = float(np.max([np.max(dv), np.max(dg), np.max(dH)]))
     return IdentityResult("homogeneity", worst <= 1e-10, f"worst relative error {worst:.3g}")
 
 
 def _euler(params: WeightParams, rng: np.random.Generator, dim: int) -> IdentityResult:
     pts = sample_cone_points(params, 100, rng, dim=dim)
-    worst = 0.0
-    for x in pts:
-        lhs = float(np.dot(x, grad_phi(x, params)))
-        rhs = params.alpha * phi_eval(x, params)
-        worst = max(worst, abs(lhs - rhs) / max(abs(rhs), 1e-12))
+    lhs = np.sum(pts.T * grad_phi(pts.T, params), axis=0)
+    rhs = params.alpha * phi_eval(pts.T, params)
+    worst = float(np.max(np.abs(lhs - rhs) / np.maximum(np.abs(rhs), 1e-12)))
     return IdentityResult("euler_identity", worst <= 1e-10, f"worst relative error {worst:.3g}")
 
 
@@ -179,7 +172,7 @@ def boundary_points(params: WeightParams, count: int, rng: np.random.Generator, 
         pts[:, 1:] = perp[:, None] * angles
     pts[:, 0] = eps * r
     # One fixed-point pass so x1 matches the recomputed norm.
-    pts[:, 0] = eps * np.linalg.norm(pts, axis=1)
+    pts[:, 0] = eps * _radius(pts.T)
     return pts
 
 
@@ -187,7 +180,7 @@ def _boundary_vanishing(params: WeightParams, rng: np.random.Generator, dim: int
     # phi ~ r^alpha h^m, so the rounding of h = x1/r on the computed boundary
     # leaves a residue of a few eps_mach * r^alpha; 8 of them bound it.
     pts = boundary_points(params, 100, rng, dim=dim)
-    phi = np.array([phi_eval(x, params) for x in pts])
+    phi = phi_eval(pts.T, params)
     worst = float(np.max(np.abs(phi) / np.linalg.norm(pts, axis=1) ** params.alpha))
     return IdentityResult("boundary_vanishing", worst <= 8.0 * float(np.finfo(float).eps),
                           f"worst |phi|/r^alpha {worst:.3g}")
@@ -196,21 +189,20 @@ def _boundary_vanishing(params: WeightParams, rng: np.random.Generator, dim: int
 def _hessian_correction_psd(params: WeightParams, rng: np.random.Generator, dim: int) -> IdentityResult:
     pts = sample_cone_points(params, 200, rng, dim=dim, h_min_offset=1e-3)
     a = params.alpha
-    worst = math.inf
-    for x in pts:
-        r = float(np.linalg.norm(x))
-        h = float(x[0]) / r
-        f = math.pow(h, params.m) - math.pow(params.epsilon, params.m)
-        fp = params.m * math.pow(h, params.m - 1.0)
-        # B = r^(2-alpha) * hess - (alpha f - h f') I
-        B = math.pow(r, 2.0 - a) * hess_phi(x, params) - (a * f - h * fp) * np.eye(dim)
-        worst = min(worst, float(np.min(np.linalg.eigvalsh(B))))
+    r = np.linalg.norm(pts, axis=1)
+    h = pts[:, 0] / r
+    f = np.power(h, params.m) - math.pow(params.epsilon, params.m)
+    fp = params.m * np.power(h, params.m - 1.0)
+    # B = r^(2-alpha) * hess - (alpha f - h f') I, one (dim, dim) matrix per point
+    H = np.moveaxis(hess_phi(pts.T, params), -1, 0)
+    B = np.power(r, 2.0 - a)[:, None, None] * H - (a * f - h * fp)[:, None, None] * np.eye(dim)
+    worst = float(np.min(np.linalg.eigvalsh(B)))
     return IdentityResult(
         "hessian_correction_psd", worst >= -1e-10, f"smallest eigenvalue {worst:.3g}"
     )
 
 
-def _boundary_law(rng: np.random.Generator) -> IdentityResult:
+def _boundary_law() -> IdentityResult:
     ok = True
     detail = ""
     for m in np.linspace(2.05, 2.95, 20):
@@ -249,6 +241,6 @@ def run_identity_suite(
         _euler(params, rng, dim),
         _boundary_vanishing(params, rng, dim),
         _hessian_correction_psd(params, rng, dim),
-        _boundary_law(rng),
+        _boundary_law(),
     ]
     return results

@@ -4,7 +4,12 @@ The weight is ``phi(x) = r**alpha * f(x1 / r)`` with ``r = |x|`` and the
 radial profile ``f(h) = h**m - epsilon**m``; it vanishes on the boundary of
 the circular cone ``{x : x1 > epsilon * |x|}`` and is homogeneous of degree
 ``alpha``.  ``log_weight`` is the log-domain exponent of the full
-space-time weight, pointwise or on a grid.
+space-time weight.
+
+Every evaluator takes ``x`` as a sequence of coordinates, each a scalar or
+an array broadcasting with the others: a 1-D point evaluates one point,
+``pts.T`` a ``(count, dim)`` stack, and axis views a tensor grid, all
+through the same arithmetic.
 
 All evaluations here are pure functions; callers exponentiate the
 log-domain weight only after subtracting its maximum, because the time
@@ -73,54 +78,62 @@ def build_f(m: float, epsilon: float) -> PowerSum:
     return PowerSum(((1.0, m), (-math.pow(epsilon, m), 0.0)))
 
 
-def _r_h(x: np.ndarray) -> tuple[float, float]:
-    r = float(np.linalg.norm(x))
-    if r == 0.0:
-        raise ValueError("weight fields are undefined at the origin")
-    return r, float(x[0]) / r
+def _radius(x):
+    """``|x|`` of a coordinate sequence, its squares summed in coordinate order.
 
-
-def phi_eval(x, params: WeightParams) -> float:
-    """Weight value ``r**alpha * f(x1/r)``.
-
-    Evaluated as ``r**(alpha-m) * (x1**m - (epsilon*r)**m)`` so that points
-    constructed on the computed cone boundary ``x1 = fl(epsilon*|x|)`` give
-    exactly zero instead of an ``r**alpha``-amplified rounding residue.
+    The one radius of the weight's evaluators and of
+    ``identities.boundary_points``: a point built there as
+    ``x1 = fl(epsilon * _radius(x))`` meets the same ``r`` here.
     """
-    x = np.asarray(x, dtype=float)
-    r = float(np.linalg.norm(x))
-    if r == 0.0:
-        raise ValueError("phi is undefined at the origin")
-    x1 = float(x[0])
-    if x1 < 0.0:
-        raise ValueError("phi is undefined for x1 < 0 (h**m needs h >= 0)")
+    return np.sqrt(sum(v * v for v in x))
+
+
+def _polar(x):
+    """Coordinates as float arrays and their radius; rejects the origin and x1 < 0."""
+    x = [np.asarray(v, dtype=float) for v in x]
+    r = _radius(x)
+    if np.any(r == 0.0) or np.any(x[0] < 0.0):
+        raise ValueError("the weight is undefined at the origin and for x1 < 0 (h**m needs h >= 0)")
+    return x, r
+
+
+def phi_eval(x, params: WeightParams):
+    """Weight value ``r**alpha * f(x1/r)``, shaped like the broadcast coordinates.
+
+    ``x`` is a sequence of coordinates, each a scalar or an array that
+    broadcasts with the others: a 1-D point gives a scalar, ``pts.T`` of a
+    ``(count, dim)`` stack gives ``count`` values.  Evaluated as
+    ``r**(alpha-m) * (x1**m - (epsilon*r)**m)`` so that points constructed
+    on the computed cone boundary ``x1 = fl(epsilon*|x|)`` give exactly
+    zero instead of an ``r**alpha``-amplified rounding residue.
+    """
+    x, r = _polar(x)
     m, alpha, eps = params.m, params.alpha, params.epsilon
-    return math.pow(r, alpha - m) * (math.pow(x1, m) - math.pow(eps * r, m))
+    return np.power(r, alpha - m) * (np.power(x[0], m) - np.power(eps * r, m))
 
 
-def _profile_derivs(h: float, params: WeightParams) -> tuple[float, float, float]:
-    """(f, f', f'') of the radial profile at angular coordinate h."""
+def _profile_derivs(h, params: WeightParams):
+    """(f, f', f'') of the radial profile at angular coordinates h (arrays)."""
     m, eps = params.m, params.epsilon
-    f = math.pow(h, m) - math.pow(eps, m)
-    fp = m * math.pow(h, m - 1.0)
-    fpp = m * (m - 1.0) * math.pow(h, m - 2.0)
+    f = np.power(h, m) - math.pow(eps, m)
+    fp = m * np.power(h, m - 1.0)
+    fpp = m * (m - 1.0) * np.power(h, m - 2.0)
     return f, fp, fpp
 
 
 def grad_phi(x, params: WeightParams) -> np.ndarray:
     """Gradient ``r**(alpha-2)*(alpha*f - h*f')*x + r**(alpha-1)*f'*e1``.
 
-    Cone membership of ``x`` is not checked; finite-difference stencils
-    legitimately straddle the boundary.
+    ``x`` is a coordinate sequence as in ``phi_eval``; the result has shape
+    ``(dim, *batch)``.  Cone membership is not checked; finite-difference
+    stencils legitimately straddle the boundary.
     """
-    x = np.asarray(x, dtype=float)
-    r, h = _r_h(x)
-    if h < 0.0:
-        raise ValueError("grad_phi is undefined for x1 < 0")
+    x, r = _polar(x)
+    h = x[0] / r
     alpha = params.alpha
     f, fp, _ = _profile_derivs(h, params)
-    out = math.pow(r, alpha - 2.0) * (alpha * f - h * fp) * x
-    out[0] += math.pow(r, alpha - 1.0) * fp
+    out = np.power(r, alpha - 2.0) * (alpha * f - h * fp) * np.stack(np.broadcast_arrays(*x))
+    out[0] += np.power(r, alpha - 1.0) * fp
     return out
 
 
@@ -129,17 +142,17 @@ def hess_phi(x, params: WeightParams) -> np.ndarray:
 
     ``B = f'' e1 e1^T + r^-1 (( alpha-1)f' - h f'') (e1 x^T + x e1^T)
     + r^-2 ((alpha^2-2alpha) f + (3-2alpha) h f' + h^2 f'') x x^T``.
+    ``x`` is a coordinate sequence as in ``phi_eval``; the result has shape
+    ``(dim, dim, *batch)``.
     """
-    x = np.asarray(x, dtype=float)
-    n = x.size
-    r, h = _r_h(x)
-    if h < 0.0:
-        raise ValueError("hess_phi is undefined for x1 < 0")
+    x, r = _polar(x)
+    h = x[0] / r
     alpha = params.alpha
     f, fp, fpp = _profile_derivs(h, params)
 
-    e1 = np.zeros(n)
-    e1[0] = 1.0
+    X = np.stack(np.broadcast_arrays(*x))
+    eye = np.eye(len(x)).reshape((len(x), len(x)) + (1,) * r.ndim)
+    e1 = eye[0]
     c_mixed = ((alpha - 1.0) * fp - h * fpp) / r
     c_radial = (
         (alpha * alpha - 2.0 * alpha) * f
@@ -147,11 +160,11 @@ def hess_phi(x, params: WeightParams) -> np.ndarray:
         + h * h * fpp
     ) / (r * r)
     B = (
-        fpp * np.outer(e1, e1)
-        + c_mixed * (np.outer(e1, x) + np.outer(x, e1))
-        + c_radial * np.outer(x, x)
+        fpp * (e1[:, None] * e1[None])
+        + c_mixed * (e1[:, None] * X[None] + X[:, None] * e1[None])
+        + c_radial * (X[:, None] * X[None])
     )
-    return math.pow(r, alpha - 2.0) * ((alpha * f - h * fp) * np.eye(n) + B)
+    return np.power(r, alpha - 2.0) * ((alpha * f - h * fp) * eye + B)
 
 
 def log_weight(x, t, a: float, K: float, params: WeightParams):
@@ -159,8 +172,8 @@ def log_weight(x, t, a: float, K: float, params: WeightParams):
 
     ``x`` is a sequence of coordinates: scalars (a 1-D point works too) or
     arrays that broadcast with each other and with ``t``, which gives ``L``
-    on the whole grid.  ``phi`` is taken in ``phi_eval``'s boundary-exact
-    form.  Callers exponentiate only after subtracting a global maximum:
+    on the whole grid.  ``phi`` comes from ``phi_eval``, in its
+    boundary-exact form.  Callers exponentiate only after subtracting a global maximum:
     with K ~ 60 the raw exponent ranges over many hundreds of orders of
     magnitude and ``exp(L)`` itself is meaningless in double precision.
     """
@@ -170,11 +183,5 @@ def log_weight(x, t, a: float, K: float, params: WeightParams):
         raise ValueError(f"K must be positive, got {K}")
     if not np.all((t > 0.0) & (t <= 1.0)):
         raise ValueError(f"t must lie in (0, 1], got {t}")
-    x1 = x[0]
-    r2 = sum(v * v for v in x)
-    if np.any(r2 == 0.0) or np.any(x1 < 0.0):
-        raise ValueError("phi is undefined at the origin and for x1 < 0")
-    m, alpha, eps = params.m, params.alpha, params.epsilon
-    r = np.sqrt(r2)
-    phi = np.power(r, alpha - m) * (np.power(x1, m) - np.power(eps * r, m))
-    return 2.0 * a * (np.power(t, -K) - 1.0) * phi - (r2 + K) / (8.0 * t)
+    phi = phi_eval(x, params)
+    return 2.0 * a * (np.power(t, -K) - 1.0) * phi - (sum(v * v for v in x) + K) / (8.0 * t)

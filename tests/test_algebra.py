@@ -52,7 +52,7 @@ class TestPowerSum:
 
     def test_zero_coefficients_dropped(self):
         p = PowerSum(((0.0, 3.0), (1.0, 1.0), (-1.0, 1.0)))
-        assert p.is_zero()
+        assert not p.terms
 
     def test_exponents_strictly_increasing(self):
         p = PowerSum(((1.0, 3.0), (2.0, 0.5), (4.0, 1.5)))
@@ -71,7 +71,7 @@ class TestDerivative:
         assert fp.terms == ((m, m - 1.0),)
 
     def test_constant_derivative_is_zero(self):
-        assert PowerSum.constant(5.0).derivative().is_zero()
+        assert not PowerSum.constant(5.0).derivative().terms
 
     def test_monomial_derivative(self):
         assert PowerSum.monomial(3.0, 2.0).derivative().terms == ((6.0, 1.0),)
@@ -100,7 +100,7 @@ class TestMul:
 
     def test_zero_annihilates(self):
         p = PowerSum(((2.0, 1.5), (1.0, 0.0)))
-        assert (p * PowerSum.zero()).is_zero()
+        assert not (p * PowerSum.zero()).terms
 
     def test_point_evaluation_oracle(self):
         # ps_eval(p*q, h) == ps_eval(p, h) * ps_eval(q, h)

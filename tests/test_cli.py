@@ -229,6 +229,23 @@ class TestQuadratureCommand:
         with pytest.raises(UsageError, match="grid"):
             parse_config(["quadrature", "--grid", "20"])
 
+    # at K = 439 the weight's curvature still overflows in numpy products
+    # (RuntimeWarning; the report holds inf and nan) but no longer raises
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_K_cap_past_float64_range_exits_3(self, capsys):
+        # the default bump's time axis starts at t_lo = 0.2, and
+        # 0.2**-(K+2) leaves the float64 range just above K = 439.012
+        for dim in ("2", "3"):
+            cfg = parse_config(["quadrature", "--dim", dim, "--K", "439", "--K-cap", "439.012"])
+            assert cfg.K_cap == 439.012
+            with pytest.raises(UsageError, match=r"largest admissible K is 439\.012"):
+                parse_config(["quadrature", "--dim", dim, "--K", "60", "--K-cap", "439.013"])
+        assert main(["quadrature", "--K", "440", "--K-cap", "480"]) == 3
+        assert "K_cap" in capsys.readouterr().err
+        # just inside the range the run completes instead of raising
+        code, _ = run(["quadrature", "--K", "439", "--K-cap", "439", "--grid", "21", "--a", "1"])
+        assert code in (0, 1)
+
 
 class TestIdentitiesCommand:
     def test_all_pass(self):

@@ -7,7 +7,6 @@ from carleman_cone.algebra import PowerSum, SignKind
 from carleman_cone.conditions import (
     DIRECT_KEYS,
     build_l,
-    build_l_expanded,
     build_lemma31,
     direct_feasibility,
     gamma_condition,
@@ -105,12 +104,6 @@ class TestGammaCondition:
 
 
 class TestBuildL:
-    def test_l2_expanded_matches(self):
-        l2 = build_l("l2", PARAMS)
-        exp = build_l_expanded("l2", PARAMS)
-        diff = l2 - exp
-        assert diff.max_abs_coefficient() <= 1e-12 * exp.max_abs_coefficient()
-
     def test_l3_identity(self):
         # l3 == (a^2+a) eps^(2m) + h^m l4 at the coefficient level
         a, m, eps = PARAMS.alpha, PARAMS.m, PARAMS.epsilon

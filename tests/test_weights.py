@@ -214,6 +214,37 @@ class TestHessPhi:
             assert np.max(np.abs(fd - H)) <= 1e-5
 
 
+class TestPointStacks:
+    """A stack of points in one call equals one call per point."""
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_stack_matches_pointwise(self, dim):
+        pts = sample_cone_points(PARAMS, 60, np.random.default_rng(53), dim=dim)
+        for fn, shape in ((phi_eval, ()), (grad_phi, (dim,)), (hess_phi, (dim, dim))):
+            stacked = fn(pts.T, PARAMS)
+            assert stacked.shape == shape + (60,)
+            pointwise = np.stack([fn(x, PARAMS) for x in pts], axis=-1)
+            np.testing.assert_allclose(stacked, pointwise, rtol=1e-14, atol=0.0)
+
+    def test_broadcast_coordinates_give_a_grid(self):
+        x1 = np.linspace(3.2, 4.8, 5)[:, None]
+        x2 = np.linspace(-0.8, 0.8, 4)[None, :]
+        H = hess_phi((x1, x2), PARAMS)
+        assert grad_phi((x1, x2), PARAMS).shape == (2, 5, 4)
+        assert H.shape == (2, 2, 5, 4)
+        for i, j in np.ndindex(5, 4):
+            np.testing.assert_allclose(H[:, :, i, j], hess_phi((x1[i, 0], x2[0, j]), PARAMS),
+                                       rtol=1e-14, atol=0.0)
+        assert np.array_equal(H, H.swapaxes(0, 1))
+
+    @pytest.mark.parametrize("bad", [(0.0, 0.0), (-0.5, 1.0)])
+    def test_one_bad_point_rejects_the_stack(self, bad):
+        pts = np.array([[1.0, 0.2], bad, [2.0, -0.3]])
+        for fn in (phi_eval, grad_phi, hess_phi):
+            with pytest.raises(ValueError):
+                fn(pts.T, PARAMS)
+
+
 class TestLogWeight:
     def test_t_equal_one(self):
         x = (3.0, 1.0)
