@@ -22,7 +22,6 @@ from .conditions import (
 )
 from .quad import (
     BumpFunction,
-    BumpSum,
     CarlemanReport,
     GridSpec,
     SupportViolationError,
@@ -67,7 +66,6 @@ __all__ = [
     "lemma31_check",
     "sufficient_route_check",
     "BumpFunction",
-    "BumpSum",
     "CarlemanReport",
     "GridSpec",
     "SupportViolationError",

@@ -40,7 +40,6 @@ from .solver import (
     scan_frontier,
     solve_critical_system,
     solve_gamma1,
-    uniqueness_horizon,
 )
 from .weights import WeightParams
 
@@ -315,8 +314,7 @@ def _validate(cfg: RunConfig) -> None:
                  f"t_lo**-(K_cap+2) leaves the float64 range for t_lo = {t_lo:g}; "
                  f"the largest admissible K is {k_max:g}, got {cfg.K_cap}")
         _require(all(a >= 0.0 for a in cfg.a_list), "a", "all values must be >= 0")
-        _require(cfg.grid >= 9 and cfg.grid % 2 == 1, "grid",
-                 f"simpson grids need an odd count >= 9, got {cfg.grid}")
+        _require(cfg.grid >= 2, "grid", f"needs at least 2 nodes per axis, got {cfg.grid}")
 
 
 # ---------------------------------------------------------------------------

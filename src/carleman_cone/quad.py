@@ -19,16 +19,17 @@ grid has a node (``0.2 + 6e-24 == 0.2``).  ``carleman_integrals``
 therefore uses a product rule that resolves the peak: Newton's method
 finds the joint maximiser of ``F = L + 2 log|u|`` with each axis carried as
 its (log) distance to the nearer support edge; each axis is split there and
-graded by a sinh map with Gauss-Legendre nodes from the Laplace width out
-to the edge; ``F - F*`` is evaluated as an expansion about the peak whose
-terms keep their relative precision; and both sides are accumulated
-against the same ``exp(F - F*)``, streamed over blocks of spatial nodes,
-each against all time nodes in one matrix product.  ``lhs`` and ``rhs`` are
-reported relative to ``exp(CarlemanReport.log_scale)``.
+graded on each side by a sinh map with Gauss-Legendre nodes from the
+Laplace width out to the end of the bump's support in the box; ``F - F*``
+is evaluated as an expansion about the peak whose terms keep their
+relative precision; and both sides are accumulated against the same
+``exp(F - F*)``, streamed over blocks of spatial nodes, each against all
+time nodes in one matrix product.  ``lhs`` and ``rhs`` are reported
+relative to ``exp(CarlemanReport.log_scale)``.
 
 The requested ``GridSpec`` sets the rule's node counts and the box;
 Newton's method starts from the best node of a fixed lattice of
-``_START_NODES`` per axis over each bump's part of that box, whatever the
+``_START_NODES`` per axis over the bump's part of that box, whatever the
 counts, with ``L`` on the lattice from ``weights.log_weight``.  An axis
 whose best node is next to an edge starts instead where the slope of
 ``2 log b`` balances that of ``F`` (``_newton_start``).
@@ -40,7 +41,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -48,7 +49,6 @@ from .weights import WeightParams, grad_phi, hess_phi, log_weight, phi_eval
 
 __all__ = [
     "BumpFunction",
-    "BumpSum",
     "GridSpec",
     "CarlemanReport",
     "SupportViolationError",
@@ -110,41 +110,13 @@ class BumpFunction:
 
 
 @dataclass(frozen=True)
-class BumpSum:
-    """Sum of up to four bumps sharing one dimension; support is the hull box."""
-
-    bumps: tuple[BumpFunction, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "bumps", tuple(self.bumps))
-        if not 1 <= len(self.bumps) <= 4:
-            raise ValueError("BumpSum takes between 1 and 4 bumps")
-        dims = {b.dim for b in self.bumps}
-        if len(dims) != 1:
-            raise ValueError("all bumps must share the same dimension")
-
-    @property
-    def dim(self) -> int:
-        return self.bumps[0].dim
-
-    @property
-    def support(self) -> tuple[tuple[float, float], ...]:
-        boxes = [b.support for b in self.bumps]
-        return tuple(
-            (min(box[i][0] for box in boxes), max(box[i][1] for box in boxes))
-            for i in range(self.dim + 1)
-        )
-
-
-@dataclass(frozen=True)
 class GridSpec:
     """Node counts and box of the quadrature.
 
-    ``counts`` are per-axis node counts (spatial axes first, time last),
-    odd and at least 9 each.  ``carleman_integrals`` places ``counts[i]``
-    nodes of its peak-resolving rule on axis ``i`` and integrates over
-    ``box``.  ``axis_nodes_weights`` gives the uniform Simpson rule on the
-    same nodes, which the tests use as a reference.
+    ``counts`` are per-axis node counts (spatial axes first, time last), at
+    least 2 each, so that each side of the peak can get a node.
+    ``carleman_integrals`` places ``counts[i]`` nodes of its peak-resolving
+    rule on axis ``i`` and integrates over ``box``.
     """
 
     counts: tuple[int, ...]
@@ -155,8 +127,8 @@ class GridSpec:
         object.__setattr__(self, "box", tuple((float(lo), float(hi)) for lo, hi in self.box))
         if len(self.counts) != len(self.box):
             raise ValueError("counts and box must have equal length")
-        if any(n < 9 or n % 2 == 0 for n in self.counts):
-            raise ValueError("axis counts must be odd and at least 9 (Simpson)")
+        if any(n < 2 for n in self.counts):
+            raise ValueError("axis counts must be at least 2")
         if any(lo >= hi for lo, hi in self.box):
             raise ValueError("box sides must have positive length")
 
@@ -165,17 +137,6 @@ class GridSpec:
         """Cubic grid (n nodes per axis) over the support box of ``u``."""
         box = u.support
         return cls(counts=(n,) * len(box), box=box)
-
-    def axis_nodes_weights(self, axis: int) -> tuple[np.ndarray, np.ndarray]:
-        """Uniform nodes and composite Simpson weights of one axis."""
-        lo, hi = self.box[axis]
-        n = self.counts[axis]
-        nodes = np.linspace(lo, hi, n)
-        step = (hi - lo) / (n - 1)
-        weights = np.full(n, 2.0)
-        weights[1::2] = 4.0
-        weights[0] = weights[-1] = 1.0
-        return nodes, weights * (step / 3.0)
 
 
 @dataclass(frozen=True)
@@ -217,46 +178,33 @@ def _check_box_in_Q(box, epsilon: float) -> None:
             raise SupportViolationError(f"corner {corner} exits the cone (epsilon={epsilon})")
 
 
-def _fields_on_grid(u, axes: Sequence[np.ndarray], dim: int):
+def _fields_on_grid(u: BumpFunction, axes: Sequence[np.ndarray], dim: int):
     """(value, spatial gradients, Laplacian, time derivative) of ``u`` on a tensor grid.
 
     ``axes`` holds the nodes of each axis, time last; one-node axes give
     the fields at a point.  The package's one closed-form evaluator of the
     bump fields, which the tests use as the reference for the quadrature.
     """
-    shape = tuple(len(ax) for ax in axes)
-    bumps = u.bumps if isinstance(u, BumpSum) else (u,)
-    value = np.zeros(shape)
-    grads = [np.zeros(shape) for _ in range(dim)]
-    lap = np.zeros(shape)
-    dt = np.zeros(shape)
     n_axes = dim + 1
-    for bump in bumps:
-        b, bp, bpp = [], [], []
+    b, bp, bpp = [], [], []
+    for i in range(n_axes):
+        bi, bpi, bppi = _bump_factors((axes[i] - u.center[i]) / u.radii[i])
+        b.append(_axis_view(bi, i, n_axes))
+        bp.append(_axis_view(bpi / u.radii[i], i, n_axes))
+        bpp.append(_axis_view(bppi / u.radii[i] ** 2, i, n_axes))
+
+    def times_others(factor, j):
+        """``factor`` on axis ``j`` times the bump factors of the other axes."""
+        out = u.amplitude * factor
         for i in range(n_axes):
-            z = (axes[i] - bump.center[i]) / bump.radii[i]
-            bi, bpi, bppi = _bump_factors(z)
-            reshape = [1] * n_axes
-            reshape[i] = len(axes[i])
-            b.append(bi.reshape(reshape))
-            bp.append((bpi / bump.radii[i]).reshape(reshape))
-            bpp.append((bppi / bump.radii[i] ** 2).reshape(reshape))
-        full = bump.amplitude * math.prod(b[1:], start=b[0])
-        value += full
-        for j in range(dim):
-            partial = bump.amplitude * bp[j]
-            second = bump.amplitude * bpp[j]
-            for i in range(n_axes):
-                if i != j:
-                    partial = partial * b[i]
-                    second = second * b[i]
-            grads[j] += partial
-            lap += second
-        dpart = bump.amplitude * bp[dim]
-        for i in range(dim):
-            dpart = dpart * b[i]
-        dt += dpart
-    return value, grads, lap, dt
+            if i != j:
+                out = out * b[i]
+        return out
+
+    value = u.amplitude * math.prod(b[1:], start=b[0])
+    grads = [times_others(bp[j], j) for j in range(dim)]
+    lap = sum(times_others(bpp[j], j) for j in range(dim))
+    return value, grads, lap, times_others(bp[dim], dim)
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +236,7 @@ _NEWTON_TOL = 1e-9
 
 @dataclass(frozen=True)
 class _Point:
-    """A point inside one bump's support box, time last.
+    """A point inside the bump's support box, time last.
 
     ``x`` is rounded to float64; ``lo_gap`` and ``hi_gap`` are the distances
     to the bump's lower and upper edges, kept to full relative precision
@@ -305,7 +253,7 @@ class _Point:
 
 @dataclass(frozen=True)
 class _Peak:
-    """Maximiser of ``F = L + 2 log B`` for one bump (amplitude left out).
+    """Maximiser of ``F = L + 2 log B`` (amplitude left out).
 
     ``slope`` is the gradient used in the expansion about the peak: zero
     where Newton's method converged, since there the computed gradient is
@@ -619,87 +567,30 @@ def _side_extent(length: float, sigma: float, drop) -> float:
     return min(length, max(extent, math.sqrt(-2.0 * _LOG_FLOOR) * sigma))
 
 
-def _axis_gap(axis: int, peaks, edges, k: int, j: int) -> float:
-    """``x_k - x_j`` on one axis between two peaks, taken from their nearer edges."""
-    pk, pj = peaks[k].point, peaks[j].point
-    if pk.lo_gap[axis] + pj.lo_gap[axis] <= pk.hi_gap[axis] + pj.hi_gap[axis]:
-        return float((edges[k][0][axis] - edges[j][0][axis])
-                     + (pk.lo_gap[axis] - pj.lo_gap[axis]))
-    return float((edges[k][1][axis] - edges[j][1][axis])
-                 - (pk.hi_gap[axis] - pj.hi_gap[axis]))
+def _axis_rule(n: int, sigma: float, below: float, above: float, drop):
+    """Offsets from the peak and weights of one axis's nodes, graded from the peak.
 
-
-def _axis_rule(axis: int, n: int, peaks, edges, dom, drop):
-    """Nodes and weights of one axis, split at every peak and graded from it.
-
-    The axis is cut into panels at the domain ends, at every peak (peaks at
-    the same coordinate share a split) and at every bump edge, so that no
-    panel straddles a point where a bump stops being analytic.  A panel
-    that ends at one peak is graded from it; one between two peaks is cut
-    at the midpoint and graded from both; one without a peak gets plain
-    Gauss-Legendre nodes, and one that no bump reaches gets none.  The
-    ``n`` nodes are shared out over the pieces, but no piece gets fewer
-    than ``n // 2``: the right side's payload is sharp a fraction of a
-    radius inside each bump edge and needs them on every piece.  Returns
-    the splits (peak indices), and per node the split it hangs from, its
-    offset from that split, and its weight.
+    ``below`` and ``above`` are the peak's distances to the lower and upper
+    ends of the axis's domain, the bump's support clipped to the box.  Each
+    side with room gets ``_graded_side`` nodes out to ``_side_extent``: the
+    lower side ``(n + 1) // 2`` and the upper side ``n // 2``, or all ``n``
+    where the peak stops on a clipped box's edge and the other side has
+    none.  ``drop(g)`` is the exponent's fall along the axis at offsets
+    ``g``.
     """
-    def gap(k, j):
-        return _axis_gap(axis, peaks, edges, k, j)
-
-    order = sorted(range(len(peaks)), key=functools.cmp_to_key(lambda k, j: gap(k, j)))
-    splits = [order[0]]
-    for k in order[1:]:
-        if gap(k, splits[-1]) > 0.0:
-            splits.append(k)
-    # Positions relative to the first split; exact for one bump.
-    first, (lo0, hi0, _) = peaks[splits[0]].point, edges[splits[0]]
-    low = float((dom[0] - lo0[axis]) - first.lo_gap[axis])
-    high = float((dom[1] - hi0[axis]) + first.hi_gap[axis])
-    spans = [(float((lo[axis] - lo0[axis]) - first.lo_gap[axis]),
-              float((hi[axis] - hi0[axis]) + first.hi_gap[axis])) for lo, hi, _ in edges]
-    cuts = {low: None, high: None}
-    for b_lo, b_hi in spans:
-        for c in (b_lo, b_hi):
-            if low < c < high:
-                cuts.setdefault(c, None)
-    for q, k in enumerate(splits):
-        cuts[gap(k, splits[0])] = q
-    cuts = sorted(cuts.items())
-    pieces = []  # (split number, direction, length) or (None, start, length)
-    for (a, qa), (b, qb) in zip(cuts, cuts[1:]):
-        if not any(b_lo < 0.5 * (a + b) < b_hi for b_lo, b_hi in spans):
-            continue
-        if qa is not None and qb is not None:
-            pieces += [(qa, 1.0, 0.5 * (b - a)), (qb, -1.0, 0.5 * (b - a))]
-        elif qa is not None:
-            pieces.append((qa, 1.0, b - a))
-        elif qb is not None:
-            pieces.append((qb, -1.0, b - a))
-        else:
-            pieces.append((None, a, b - a))
-    share, extra = divmod(n, len(pieces))
-    owner, offset, weight = [], [], []
-    for i, (q, where, length) in enumerate(pieces):
-        count = max(share + (i < extra), n // 2)
-        if q is None:
-            xi, w = _legendre(count)
-            owner.append(np.zeros(count, dtype=int))
-            offset.append(where + 0.5 * length * (xi + 1.0))
-            weight.append(0.5 * length * w)
-            continue
-        k = splits[q]
-        sigma = float(peaks[k].sigma[axis])
-        extent = _side_extent(length, sigma, lambda g: drop(k, axis, where * g))
+    sides = [(where, length) for where, length in ((-1.0, below), (1.0, above)) if length > 0.0]
+    counts = [n] if len(sides) == 1 else [(n + 1) // 2, n // 2]
+    offset, weight = [], []
+    for (where, length), count in zip(sides, counts):
+        extent = _side_extent(length, sigma, lambda g: drop(where * g))
         g, w = _graded_side(count, extent, sigma)
-        owner.append(np.full(count, q))
         offset.append(where * g)
         weight.append(w)
-    return splits, np.concatenate(owner), np.concatenate(offset), np.concatenate(weight)
+    return np.concatenate(offset), np.concatenate(weight)
 
 
-def _stream(X, T, shift: float, R) -> np.ndarray:
-    """``exp(max(X @ T + shift, _EXP_FLOOR)) @ R``, one block of spatial rows at a time.
+def _stream(X, T, R) -> np.ndarray:
+    """``exp(max(X @ T, _EXP_FLOOR)) @ R``, one block of spatial rows at a time.
 
     A block holds ``_BLOCK_NODES // T.shape[1]`` rows of ``X`` (at least
     one), so its exponents take at most ``max(_BLOCK_NODES, T.shape[1])``
@@ -710,7 +601,6 @@ def _stream(X, T, shift: float, R) -> np.ndarray:
     out = np.empty((X.shape[0], R.shape[1]))
     for i in range(0, X.shape[0], block):
         E = X[i:i + block] @ T
-        E += shift
         np.maximum(E, _EXP_FLOOR, out=E)
         np.exp(E, out=E)
         out[i:i + block] = E @ R
@@ -718,11 +608,10 @@ def _stream(X, T, shift: float, R) -> np.ndarray:
 
 
 def _newton_start(lo, hi, s, box_lo, box_hi, params: WeightParams, a, K, unit_weight):
-    """Newton's start point and axis modes for one bump, picked on a coarse lattice.
+    """Newton's start point and axis modes for the bump, picked on a coarse lattice.
 
     The lattice has ``_START_NODES`` uniform nodes per axis over the bump's
-    part of the box, so a bump narrower than another's node spacing still
-    has inside nodes; the start is the node with the largest
+    part of the box; the start is the node with the largest
     ``F = L + 2 log B``.  An axis whose start is the bump's first (last)
     inside node gets mode +1 (-1), so Newton moves it in the log of its
     distance to the nearer edge, where a concentrated peak sits; the other
@@ -772,7 +661,7 @@ def _newton_start(lo, hi, s, box_lo, box_hi, params: WeightParams, a, K, unit_we
 
 
 def carleman_integrals(
-    u,
+    u: BumpFunction,
     params: WeightParams,
     a: float,
     K: float,
@@ -783,26 +672,26 @@ def carleman_integrals(
     """Both sides of the weighted inequality by a peak-resolving product rule.
 
     The left side integrates ``u^2 + |grad u|^2`` and the right side
-    ``(u_t + lap u)^2`` against the weight ``exp(L)``.  For each bump the
-    joint maximiser of ``F = L + 2 log|u|`` is found by Newton's method,
-    started from the argmax of ``F`` on a lattice of ``_START_NODES`` per
-    axis over the bump's part of ``grid.box``, moved towards an edge to the
-    balance point (``_newton_start``).  Each axis is split at the peak, and
-    ``grid.counts[i]`` Gauss-Legendre nodes are placed on the two sides,
-    graded by a sinh map from the Laplace width ``sigma_i`` out to the
-    edge.  The integrand is evaluated as ``exp(F - F*)`` times the payloads
-    divided by ``u^2``, expanded about the peak, and streamed over blocks
-    of spatial nodes.  A ``BumpSum`` splits each axis at every bump's peak
-    (and at every bump edge) and sums the products of its bumps pairwise.
-    ``lhs`` and ``rhs`` are reported relative to ``exp(log_scale)``, the
-    left integrand's Laplace scale (see CarlemanReport).
+    ``(u_t + lap u)^2`` against the weight ``exp(L)``.  The joint
+    maximiser of ``F = L + 2 log|u|`` is found by Newton's method, started
+    from the argmax of ``F`` on a lattice of ``_START_NODES`` per axis over
+    the bump's part of ``grid.box``, moved towards an edge to the balance
+    point (``_newton_start``).  Each axis is split at the peak, and
+    ``grid.counts[i]`` Gauss-Legendre nodes are placed on its two sides
+    (``_axis_rule``), graded by a sinh map from the Laplace width
+    ``sigma_i`` out to the end of the bump's support in the box.  The
+    integrand is evaluated as ``exp(F - F*)`` times the payloads divided by
+    ``u^2``, expanded about the peak, and streamed over blocks of spatial
+    nodes in one pass.  ``lhs`` and ``rhs`` are reported relative to
+    ``exp(log_scale)``, the left integrand's Laplace scale (see
+    CarlemanReport).
 
-    For the default bumps the peak is resolved up to ``K`` near 430, where
+    For the default bump the peak is resolved up to ``K`` near 430, where
     ``t^-K`` itself leaves the float64 range; from ``K`` near 210 the ratio
     is below that range, so ``rhs`` reads ``inf`` and ``ratio`` 0.
 
-    When no bump with nonzero amplitude meets ``grid.box``, both sides are
-    0 and the report passes.  ``unit_weight=True`` replaces ``L`` by 0
+    When the amplitude is 0 or the bump misses ``grid.box``, both sides
+    are 0 and the report passes.  ``unit_weight=True`` replaces ``L`` by 0
     (plain unweighted quadrature, used by exactness tests).
     """
     if not a >= 0.0:
@@ -813,82 +702,51 @@ def carleman_integrals(
     _check_box_in_Q(grid.box, params.epsilon)
     box_lo = np.array([lo for lo, _ in grid.box])
     box_hi = np.array([hi for _, hi in grid.box])
-    bumps, edges = [], []
-    for bump in (u.bumps if isinstance(u, BumpSum) else (u,)):
-        lo = np.array([c - s for c, s in zip(bump.center, bump.radii)])
-        hi = np.array([c + s for c, s in zip(bump.center, bump.radii)])
-        if bump.amplitude != 0.0 and np.all(lo < box_hi) and np.all(hi > box_lo):
-            bumps.append(bump)
-            edges.append((lo, hi, np.array(bump.radii)))
-
-    if not bumps:
+    s = np.array(u.radii)
+    lo, hi = np.array(u.center) - s, np.array(u.center) + s
+    if u.amplitude == 0.0 or not (np.all(lo < box_hi) and np.all(hi > box_lo)):
         return CarlemanReport(a=a, K=K, lhs=0.0, rhs=0.0, ratio=0.0, grid=grid, passed=True)
 
-    peaks = []
-    for lo, hi, s in edges:
-        point, modes = _newton_start(lo, hi, s, box_lo, box_hi, params, a, K, unit_weight)
-        peaks.append(_find_peak(point, modes, s, np.maximum(box_lo - lo, 0.0),
-                                np.maximum(hi - box_hi, 0.0), params, a, K, unit_weight))
-
-    ref = int(np.argmax([pk.value for pk in peaks]))
-    top = peaks[ref]
+    point, modes = _newton_start(lo, hi, s, box_lo, box_hi, params, a, K, unit_weight)
+    peak = _find_peak(point, modes, s, np.maximum(box_lo - lo, 0.0),
+                      np.maximum(hi - box_hi, 0.0), params, a, K, unit_weight)
+    p = peak.point
     # sqrt of the unit-amplitude left payload over u^2 at the peak
-    slopes = _log_b_slope(top.point.lo_gap[:dim], top.point.hi_gap[:dim], edges[ref][2][:dim])
+    slopes = _log_b_slope(p.lo_gap[:dim], p.hi_gap[:dim], s[:dim])
     scale = math.hypot(1.0, *slopes)
-    log_scale = top.value + 2.0 * math.log(scale) + float(np.sum(np.log(top.sigma)))
+    log_scale = peak.value + 2.0 * math.log(scale) + float(np.sum(np.log(peak.sigma)))
 
-    def drop(j, axis, g):
-        """Largest exponent, over the bumps, along the axis at offsets g from peak j."""
-        out = np.full(g.size, -np.inf)
-        for k, peak in enumerate(peaks):
-            offsets = [np.zeros(1)] * (dim + 1)
-            offsets[axis] = _axis_gap(axis, peaks, edges, j, k) + g
-            X, T = _exponent_factors(peak.point, edges[k][2], peak.slope, offsets,
-                                     params, a, K, unit_weight)
-            out = np.maximum(out, (X @ T).ravel() + (peak.value - top.value))
-        return out
+    def drop(axis, g):
+        """The exponent's fall along the axis at offsets g from the peak."""
+        offsets = [np.zeros(1)] * (dim + 1)
+        offsets[axis] = g
+        X, T = _exponent_factors(p, s, peak.slope, offsets, params, a, K, unit_weight)
+        return (X @ T).ravel()
 
-    dom = [(max(box_lo[i], min(e[0][i] for e in edges)),
-            min(box_hi[i], max(e[1][i] for e in edges))) for i in range(dim + 1)]
-    rules = [_axis_rule(i, grid.counts[i], peaks, edges, dom[i], drop)
-             for i in range(dim + 1)]
-    w_x = math.prod((_axis_view(rules[i][3] / top.sigma[i], i, dim) for i in range(dim)),
+    # the peak's distances to the ends of the bump's support clipped to the box
+    below = p.lo_gap - (np.maximum(box_lo, lo) - lo)
+    above = (np.minimum(box_hi, hi) - hi) + p.hi_gap
+    offsets, weights = zip(*(_axis_rule(grid.counts[i], float(peak.sigma[i]), float(below[i]),
+                                        float(above[i]), functools.partial(drop, i))
+                             for i in range(dim + 1)))
+    w_x = math.prod((_axis_view(weights[i] / peak.sigma[i], i, dim) for i in range(dim)),
                     start=np.ones([1] * dim)).ravel()
-    w_t = rules[dim][3] / top.sigma[dim]
+    w_t = weights[dim] / peak.sigma[dim]
 
-    # Per bump: exponent factors, payload slopes over u, all about its own peak.
+    # Exponent factors and payload slopes over u, all about the peak.
     # Where the ratio is below the float64 range, rhs overflows to inf.
     with np.errstate(over="ignore"):
-        terms = []
-        for k, (peak, (lo, hi, s)) in enumerate(zip(peaks, edges)):
-            offsets = []
-            for i, (splits, owner, offset, _) in enumerate(rules):
-                base = np.array([_axis_gap(i, peaks, edges, j, k) for j in splits])
-                offsets.append(base[owner] + offset)
-            X, T = _exponent_factors(peak.point, s, peak.slope, offsets, params, a, K, unit_weight)
-            g_x, h_x = zip(*(_log_b_slopes(peak.point.lo_gap[i] + offsets[i],
-                                           peak.point.hi_gap[i] - offsets[i], s[i], scale)
-                             for i in range(dim)))
-            g_t, _ = _log_b_slopes(peak.point.lo_gap[dim] + offsets[dim],
-                                   peak.point.hi_gap[dim] - offsets[dim], s[dim], scale)
-            terms.append((bumps[k].amplitude, X, T, peak.value - top.value,
-                          list(g_x), _tensor_sum(h_x).ravel(), g_t))
-
-        lhs = rhs = 0.0
-        for k, (amp_k, X_k, T_k, c_k, gx_k, H_k, gt_k) in enumerate(terms):
-            for amp_l, X_l, T_l, c_l, gx_l, H_l, gt_l in terms[k:]:
-                if X_l is X_k:
-                    X, T, shift, weight = X_k, T_k, c_k, amp_k * amp_k
-                else:
-                    X = 0.5 * np.hstack([X_k, X_l])
-                    T = np.vstack([T_k, T_l])
-                    shift, weight = 0.5 * (c_k + c_l), 2.0 * amp_k * amp_l
-                R = np.column_stack([w_t, w_t * gt_k, w_t * gt_l, w_t * gt_k * gt_l])
-                S = _stream(X, T, shift, R)
-                grad = _tensor_sum([a_ * b_ for a_, b_ in zip(gx_k, gx_l)]).ravel()
-                lhs += weight * float(w_x @ (((1.0 / scale) ** 2 + grad) * S[:, 0]))
-                rhs += weight * float(w_x @ (H_k * H_l * S[:, 0] + H_k * S[:, 2]
-                                             + H_l * S[:, 1] + S[:, 3]))
+        X, T = _exponent_factors(p, s, peak.slope, offsets, params, a, K, unit_weight)
+        g_x, h_x = zip(*(_log_b_slopes(p.lo_gap[i] + offsets[i], p.hi_gap[i] - offsets[i],
+                                       s[i], scale) for i in range(dim)))
+        g_t, _ = _log_b_slopes(p.lo_gap[dim] + offsets[dim], p.hi_gap[dim] - offsets[dim],
+                               s[dim], scale)
+        H = _tensor_sum(h_x).ravel()
+        S = _stream(X, T, np.column_stack([w_t, w_t * g_t, w_t * g_t * g_t]))
+        grad = _tensor_sum([g * g for g in g_x]).ravel()
+        amp2 = u.amplitude * u.amplitude
+        lhs = amp2 * float(w_x @ (((1.0 / scale) ** 2 + grad) * S[:, 0]))
+        rhs = amp2 * float(w_x @ ((H * S[:, 0] + 2.0 * S[:, 1]) * H + S[:, 2]))
     if unit_weight:
         lhs, rhs, log_scale = lhs * math.exp(log_scale), rhs * math.exp(log_scale), 0.0
     ratio = lhs / rhs if rhs > 0.0 else 0.0
@@ -897,7 +755,7 @@ def carleman_integrals(
 
 
 def verify_carleman(
-    u,
+    u: BumpFunction,
     params: WeightParams,
     a_list: Sequence[float],
     K_init: float,

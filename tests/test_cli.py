@@ -225,9 +225,15 @@ class TestQuadratureCommand:
             assert rep["K"] <= 240.0
             assert rep["lhs"] <= rep["rhs"]
 
-    def test_grid_validation(self):
+    def test_grid_validation(self, capsys):
+        # each side of the peak needs a node: 1 per axis is a usage error, 2 is not
         with pytest.raises(UsageError, match="grid"):
-            parse_config(["quadrature", "--grid", "20"])
+            parse_config(["quadrature", "--grid", "1"])
+        assert parse_config(["quadrature", "--grid", "2"]).grid == 2
+        assert main(["quadrature", "--grid", "1"]) == 3
+        assert "grid" in capsys.readouterr().err
+        code, _ = run(["quadrature", "--grid", "10"])
+        assert code == 0
 
     # at K = 439 the weight's curvature still overflows in numpy products
     # (RuntimeWarning; the report holds inf and nan) but no longer raises

@@ -5,7 +5,6 @@ import pytest
 
 from carleman_cone.quad import (
     BumpFunction,
-    BumpSum,
     CarlemanReport,
     GridSpec,
     SupportViolationError,
@@ -17,6 +16,8 @@ from carleman_cone.weights import WeightParams, log_weight
 
 PARAMS = WeightParams(m=2.46, alpha=1.999, gamma=0.8092, epsilon=0.60)
 BUMP = BumpFunction(amplitude=1.0, center=(4.0, 0.0, 0.5), radii=(0.8, 0.8, 0.3))
+# clips BUMP's support ((3.2, 4.8), (-0.8, 0.8), (0.2, 0.8)) at the lower x1 and t ends
+CLIPPED_BOX = ((3.5, 4.8), (-0.8, 0.8), (0.25, 0.8))
 
 
 def fields_at(u, x, t):
@@ -69,41 +70,17 @@ class TestBumpFunction:
             BumpFunction(amplitude=1.0, center=(4.0, 0.0, 0.5), radii=(0.8, -0.1, 0.3))
 
 
-class TestBumpSum:
-    def test_sum_of_two(self):
-        other = BumpFunction(amplitude=0.5, center=(4.5, 0.2, 0.5), radii=(0.2, 0.2, 0.2))
-        combo = BumpSum((BUMP, other))
-        x, t = (4.45, 0.15), 0.45
-        v, g, lap, dt = fields_at(combo, x, t)
-        v1, g1, l1, d1 = fields_at(BUMP, x, t)
-        v2, g2, l2, d2 = fields_at(other, x, t)
-        assert v == pytest.approx(v1 + v2, rel=1e-14)
-        assert np.allclose(g, g1 + g2)
-        assert lap == pytest.approx(l1 + l2, rel=1e-12)
-        assert dt == pytest.approx(d1 + d2, rel=1e-12)
-
-    def test_hull_support(self):
-        other = BumpFunction(amplitude=0.5, center=(5.0, 0.0, 0.4), radii=(0.5, 0.5, 0.2))
-        combo = BumpSum((BUMP, other))
-        assert combo.support[0] == (3.2, 5.5)
-        assert combo.support[2] == (0.2, 0.8)
-
-    def test_at_most_four(self):
-        with pytest.raises(ValueError):
-            BumpSum((BUMP,) * 5)
-
-
 class TestGridSpec:
     def test_counts_validated(self):
         with pytest.raises(ValueError):
-            GridSpec(counts=(7, 9, 9), box=BUMP.support)
-        with pytest.raises(ValueError):
-            GridSpec(counts=(10, 9, 9), box=BUMP.support)
+            GridSpec(counts=(1, 9, 9), box=BUMP.support)
+        for n in (2, 10):
+            assert GridSpec(counts=(n, 9, 9), box=BUMP.support).counts[0] == n
 
     def test_simpson_weights_sum_to_length(self):
         grid = GridSpec.from_support(BUMP, 41)
         for axis in range(3):
-            nodes, weights = grid.axis_nodes_weights(axis)
+            nodes, weights = axis_nodes_weights(grid, axis)
             lo, hi = grid.box[axis]
             assert weights.sum() == pytest.approx(hi - lo, rel=1e-12)
             assert nodes[0] == lo and nodes[-1] == hi
@@ -327,10 +304,22 @@ def laplace_ratio(mp, a, K=60.0):
         return float(lhs / rhs)
 
 
+def axis_nodes_weights(grid, axis):
+    """Uniform nodes and composite Simpson weights of one axis of an odd-count grid."""
+    lo, hi = grid.box[axis]
+    n = grid.counts[axis]
+    nodes = np.linspace(lo, hi, n)
+    step = (hi - lo) / (n - 1)
+    weights = np.full(n, 2.0)
+    weights[1::2] = 4.0
+    weights[0] = weights[-1] = 1.0
+    return nodes, weights * (step / 3.0)
+
+
 def simpson_ratio(u, a, K, n=161):
     """lhs/rhs by plain tensor Simpson on n nodes per axis, one time slice at a time."""
     grid = GridSpec.from_support(u, n)
-    (x1, w1), (x2, w2), (t, wt) = (grid.axis_nodes_weights(i) for i in range(3))
+    (x1, w1), (x2, w2), (t, wt) = (axis_nodes_weights(grid, i) for i in range(3))
     r2 = x1[:, None] ** 2 + x2[None, :] ** 2
     r = np.sqrt(r2)
     phi = r ** PARAMS.alpha * ((x1[:, None] / r) ** PARAMS.m - PARAMS.epsilon ** PARAMS.m)
@@ -392,32 +381,33 @@ class TestPeakResolvingRule:
         unit = carleman_integrals(BUMP, PARAMS, 0.0, 60.0, grid, unit_weight=True)
         assert unit.log_scale == 0.0
 
-    def test_bump_sum_splits_at_each_peak(self):
-        other = BumpFunction(amplitude=0.5, center=(4.3, 0.2, 0.6), radii=(0.3, 0.3, 0.1))
-        # narrower in t than the spacing of a 17-node lattice over the hull box
-        narrow = BumpFunction(amplitude=1.0, center=(4.75, 0.05, 0.2187),
-                              radii=(0.03, 0.03, 0.015))
-        # concentrated: the second bump is far from the weight's peak corner
-        single = carleman_integrals(BUMP, PARAMS, 1.0, 60.0, GridSpec.from_support(BUMP, 41))
-        for second in (other, narrow):
-            combo = BumpSum((BUMP, second))
-            rep = carleman_integrals(combo, PARAMS, 1.0, 60.0, GridSpec.from_support(combo, 41))
-            assert rep.ratio == pytest.approx(single.ratio, rel=1e-6)
-        # resolved: both bumps and their overlap carry weight
-        combo = BumpSum((BUMP, other))
-        rep = carleman_integrals(combo, PARAMS, 1.0, 0.5, GridSpec.from_support(combo, 81))
-        assert rep.ratio == pytest.approx(simpson_ratio(combo, 1.0, 0.5), rel=0.01)
+    def test_clipped_box_side_without_room_gets_every_node(self, monkeypatch):
+        # at K = 60 the peak stops on the box's lower time edge, so the time
+        # axis has nodes on the peak's upper side only
+        import carleman_cone.quad as quad_mod
 
-    def test_bump_sum_resolves_each_bump_at_coarse_counts(self):
-        # disjoint bumps: the sum's integrals are the bumps' own, and each
-        # piece between a peak and a bump edge keeps enough nodes
-        other = BumpFunction(1.0, (6.0, 1.0, 0.4), (0.5, 0.5, 0.15))
-        combo = BumpSum((BUMP, other))
-        rep = carleman_integrals(combo, PARAMS, 0.0, 60.0, GridSpec.from_support(combo, 41),
-                                 unit_weight=True)
-        alone = sum(carleman_integrals(b, PARAMS, 0.0, 60.0, GridSpec.from_support(b, 41),
-                                       unit_weight=True).rhs for b in combo.bumps)
-        assert rep.rhs == pytest.approx(alone, rel=1e-3)
+        rules = []
+        real = quad_mod._axis_rule
+
+        def recording(*args):
+            rules.append(real(*args))
+            return rules[-1]
+
+        monkeypatch.setattr(quad_mod, "_axis_rule", recording)
+        for a in (0.1, 1.0, 10.0):
+            r41, r161 = (carleman_integrals(BUMP, PARAMS, a, 60.0, GridSpec((n,) * 3, CLIPPED_BOX))
+                         for n in (41, 161))
+            assert r41.passed and r161.passed
+            assert r41.ratio == pytest.approx(r161.ratio, rel=1e-8)
+        time_offsets = [offset for offset, _ in rules[2::3]]
+        assert [len(o) for o in time_offsets] == [41, 161] * 3
+        assert all(np.all(o > 0.0) for o in time_offsets)
+        # resolved: every node carries weight, on both sides of the peak
+        for a in (0.1, 1.0, 10.0):
+            r81, r161 = (carleman_integrals(BUMP, PARAMS, a, 0.5, GridSpec((n,) * 3, CLIPPED_BOX))
+                         for n in (81, 161))
+            assert r81.passed
+            assert r81.ratio == pytest.approx(r161.ratio, rel=1e-3)
 
     @pytest.mark.parametrize("dim, K, a", [
         (2, 60.0, 0.1), (2, 60.0, 1.0), (2, 60.0, 10.0), (3, 60.0, 1.0),
@@ -450,21 +440,23 @@ class TestStream:
         (1, 5, 3),  # a single spatial row
         (30, 5, 5),  # 64 // 5 = 12 rows a block: the last one is partly full
         (11, 5, 1),  # a single time column
-        (23, 10, 9),  # the 10 exponent columns of a BumpSum pair
+        (23, 10, 9),  # a wider inner dimension
     ])
     def test_matches_dense_product(self, block_nodes, rows, inner, cols, monkeypatch):
         import carleman_cone.quad as quad_mod
 
         rng = np.random.default_rng(1000 * rows + cols)
         # quarter-integer exponents are exact in any summation order, so
-        # only the blocking can tell the two apart; some fall below the floor
+        # only the blocking can tell the two apart; one more exact column
+        # shifts them all by -680, so some fall below the floor
         X = rng.integers(-30, 31, (rows, inner)).astype(float)
         T = rng.integers(-4, 5, (inner, cols)) / 4.0
-        R = rng.uniform(0.1, 1.0, (cols, 4))
-        shift = -680.0
-        dense = np.exp(np.maximum(X @ T + shift, quad_mod._EXP_FLOOR)) @ R
+        X = np.column_stack([X, np.full(rows, -680.0)])
+        T = np.vstack([T, np.ones(cols)])
+        R = rng.uniform(0.1, 1.0, (cols, 3))
+        dense = np.exp(np.maximum(X @ T, quad_mod._EXP_FLOOR)) @ R
         monkeypatch.setattr(quad_mod, "_BLOCK_NODES", block_nodes)
-        streamed = quad_mod._stream(X, T, shift, R)
+        streamed = quad_mod._stream(X, T, R)
         np.testing.assert_allclose(streamed, dense, rtol=1e-13, atol=0.0)
 
 
