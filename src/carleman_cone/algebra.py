@@ -2,23 +2,25 @@
 
 The objects handled here are finite sums ``sum_i c_i * h**p_i`` with real
 exponents, evaluated on subintervals of the positive half-line.  Alongside
-plain floating-point evaluation the module provides enclosure arithmetic
-(outward-rounded intervals) and an adaptive-bisection sign certifier that
-proves claims like ``p >= 0 on [a, b]`` over the whole interval instead of
-sampling it.
+plain floating-point evaluation the module provides an enclosure of a sum's
+range over an interval and an adaptive-bisection sign certifier that proves
+claims like ``p >= 0 on [a, b]`` over the whole interval instead of sampling
+it.
 
-Outward rounding is emulated: every interval operation widens its result by
-a relative ``2**-50`` (plus an absolute ``1e-300``) per endpoint instead of
-switching hardware rounding modes.  The margins this package needs to
-distinguish are around ``1e-2``, so the emulation is conservative by many
-orders of magnitude while staying portable.
+Outward rounding is emulated rather than switched on in hardware.  One pad
+widens an endpoint ``x`` by ``2**-50 * |x| + 1e-300``.  The enclosure runs
+one loop in plain floats: each term's endpoint powers get four pads, the
+scaled term one more, and every partial sum one.  The margins this package
+needs to distinguish are around ``1e-2``, so the emulation is conservative
+by many orders of magnitude while staying portable.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
+from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
 __all__ = [
@@ -34,8 +36,8 @@ __all__ = [
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_DEPTH = 60
 
-# Per-operation outward inflation; 4 units for pow, which goes through
-# exp/log and is faithfully rounded only to a few ulp.
+# Outward inflation of an enclosure, in units of one pad each; 4 units for
+# pow, which goes through exp/log and is faithfully rounded only to a few ulp.
 _REL = 2.0 ** -50
 _ABS = 1e-300
 _POW_UNITS = 4
@@ -45,26 +47,16 @@ _POW_UNITS = 4
 # different float paths to the same value (e.g. (m-2)+1 vs m-1) differ by
 # ~1e-16.
 _EXP_MERGE_TOL = 1e-9
+_EXPONENT = itemgetter(1)
 
 # Safety cap on certifier work, far above anything the shipped expressions
 # need (they resolve in hundreds of leaves).
 _MAX_NODES = 200_000
 
 
-def _outward(lo: float, hi: float, units: int = 1) -> "Interval":
-    pad_lo = units * (_REL * abs(lo) + _ABS)
-    pad_hi = units * (_REL * abs(hi) + _ABS)
-    return Interval(lo - pad_lo, hi + pad_hi)
-
-
 @dataclass(frozen=True)
 class Interval:
-    """Closed real interval with enclosure-preserving arithmetic.
-
-    For every operation ``op`` and all ``x in X``, ``y in Y`` the true
-    ``x op y`` lies in ``X op Y``; outward inflation absorbs the rounding
-    of the endpoint computations.
-    """
+    """Closed real interval ``[lo, hi]`` with finite endpoints."""
 
     lo: float
     hi: float
@@ -75,79 +67,34 @@ class Interval:
         if self.lo > self.hi:
             raise ValueError(f"interval is empty: [{self.lo}, {self.hi}]")
 
-    @staticmethod
-    def point(x: float) -> "Interval":
-        return Interval(x, x)
-
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
-
-    @property
-    def mid(self) -> float:
-        return 0.5 * (self.lo + self.hi)
-
     def contains(self, x: float) -> bool:
         return self.lo <= x <= self.hi
-
-    def hull(self, other: "Interval") -> "Interval":
-        return Interval(min(self.lo, other.lo), max(self.hi, other.hi))
 
     def __neg__(self) -> "Interval":
         # Negation is exact in binary floating point; no inflation needed.
         return Interval(-self.hi, -self.lo)
-
-    def __add__(self, other: "Interval") -> "Interval":
-        return _outward(self.lo + other.lo, self.hi + other.hi)
-
-    def __sub__(self, other: "Interval") -> "Interval":
-        return _outward(self.lo - other.hi, self.hi - other.lo)
-
-    def __mul__(self, other: "Interval") -> "Interval":
-        cands = (
-            self.lo * other.lo,
-            self.lo * other.hi,
-            self.hi * other.lo,
-            self.hi * other.hi,
-        )
-        return _outward(min(cands), max(cands))
-
-    def scaled(self, c: float) -> "Interval":
-        if c >= 0.0:
-            return _outward(c * self.lo, c * self.hi)
-        return _outward(c * self.hi, c * self.lo)
-
-    def power(self, p: float) -> "Interval":
-        """Enclosure of ``{h**p : h in self}``; requires ``self.lo > 0``.
-
-        ``h**p`` is monotone on the positive axis (increasing for ``p > 0``,
-        decreasing for ``p < 0``), so endpoint evaluations bound the range.
-        """
-        if self.lo <= 0.0:
-            raise ValueError("power() needs a strictly positive interval")
-        if p == 0.0:
-            return Interval(1.0, 1.0)
-        vlo = math.pow(self.lo, p)
-        vhi = math.pow(self.hi, p)
-        if p < 0.0:
-            vlo, vhi = vhi, vlo
-        return _outward(vlo, vhi, units=_POW_UNITS)
 
     def __repr__(self) -> str:
         return f"[{self.lo!r}, {self.hi!r}]"
 
 
 def _normalize_terms(pairs: Iterable[tuple[float, float]]) -> tuple[tuple[float, float], ...]:
-    ordered = sorted(pairs, key=lambda cp: cp[1])
-    merged: list[list[float]] = []
-    for c, p in ordered:
+    # Each group merges into its first (smallest) exponent; the (0, nan)
+    # seed never merges and is dropped with the other zero coefficients.
+    merged = []
+    c0, p0 = 0.0, math.nan
+    for c, p in sorted(pairs, key=_EXPONENT):
         if not (math.isfinite(c) and math.isfinite(p)):
             raise ValueError(f"coefficients and exponents must be finite, got ({c}, {p})")
-        if merged and abs(p - merged[-1][1]) <= _EXP_MERGE_TOL:
-            merged[-1][0] += c
-        else:
-            merged.append([c, p])
-    return tuple((c, p) for c, p in merged if c != 0.0)
+        if abs(p - p0) <= _EXP_MERGE_TOL:
+            c0 += c
+            continue
+        if c0 != 0.0:
+            merged.append((c0, p0))
+        c0, p0 = c, p
+    if c0 != 0.0:
+        merged.append((c0, p0))
+    return tuple(merged)
 
 
 @dataclass(frozen=True)
@@ -209,16 +156,35 @@ class PowerSum:
     def eval_interval(self, region: Interval) -> Interval:
         """Enclosure of the range over ``region``; needs ``region.lo > 0``.
 
-        Each monomial is monotone on positive intervals, so per-term bounds
-        come from endpoint evaluations; terms are then summed with outward
-        inflation.
+        Each monomial is monotone on positive intervals, so its bounds come
+        from the two endpoint powers, padded by ``_POW_UNITS`` units; the
+        scaled term and each partial sum are padded by one unit.
         """
-        if region.lo <= 0.0:
+        lo, hi = region.lo, region.hi
+        if lo <= 0.0:
             raise ValueError("interval evaluation needs a strictly positive region")
-        acc = Interval(0.0, 0.0)
+        acc_lo = acc_hi = 0.0
         for c, p in self.terms:
-            acc = acc + region.power(p).scaled(c)
-        return acc
+            if p == 0.0:
+                vlo = vhi = 1.0
+            else:
+                vlo = math.pow(lo, p)
+                vhi = math.pow(hi, p)
+                if p < 0.0:
+                    vlo, vhi = vhi, vlo
+                vlo -= _POW_UNITS * (_REL * abs(vlo) + _ABS)
+                vhi += _POW_UNITS * (_REL * abs(vhi) + _ABS)
+            if c >= 0.0:
+                vlo, vhi = c * vlo, c * vhi
+            else:
+                vlo, vhi = c * vhi, c * vlo
+            vlo -= _REL * abs(vlo) + _ABS
+            vhi += _REL * abs(vhi) + _ABS
+            acc_lo += vlo
+            acc_hi += vhi
+            acc_lo -= _REL * abs(acc_lo) + _ABS
+            acc_hi += _REL * abs(acc_hi) + _ABS
+        return Interval(acc_lo, acc_hi)
 
     # -- algebra -----------------------------------------------------------
 
@@ -283,6 +249,14 @@ class SignVerdict:
              certified or scalar-condition verdicts.
     zeros    declared zeros inside the certified region.
     residual worst leaf enclosure straddling zero when INDETERMINATE.
+
+    The work counts are zero for scalar-condition verdicts:
+
+    nodes             bisection nodes enclosed (one ``eval_interval`` each).
+    max_depth         deepest node visited; the root is depth 0.
+    leaves_margin     leaves closed by an enclosure above ``tol``.
+    leaves_zero       leaves closed by a declared zero.
+    leaves_exhausted  leaves left open at the depth or node cap.
     """
 
     kind: SignKind
@@ -290,6 +264,11 @@ class SignVerdict:
     witness: Optional[float] = None
     zeros: tuple[float, ...] = ()
     residual: Optional[Interval] = None
+    nodes: int = 0
+    max_depth: int = 0
+    leaves_margin: int = 0
+    leaves_zero: int = 0
+    leaves_exhausted: int = 0
 
     def confirms(self, claim: str) -> bool:
         """Whether this verdict certifies the given claim."""
@@ -322,7 +301,7 @@ class SignVerdict:
             SignKind.POSITIVE_SOMEWHERE,
         ) else self.margin
         residual = -self.residual if self.residual is not None else None
-        return SignVerdict(flip[self.kind], margin, self.witness, self.zeros, residual)
+        return replace(self, kind=flip[self.kind], margin=margin, residual=residual)
 
 
 _MIRROR_CLAIM = {"<=": ">=", "<": ">"}
@@ -364,35 +343,46 @@ def certify_sign(
         raise ValueError("a strict claim cannot carry known zeros")
 
     zeros_in_region = tuple(z for z in known_zeros if region.contains(z))
+    # A node that does not close probes its midpoint.  A child's endpoints
+    # are probe points of its ancestors, already found non-negative, so only
+    # the root probes its endpoints too.
     stack: list[tuple[float, float, int]] = [(region.lo, region.hi, 0)]
-    nodes = 0
+    nodes = deepest = by_margin = by_zero = exhausted = 0
     min_margin = math.inf
-    used_zero_rule = False
-    exhausted = False
     worst_residual: Optional[Interval] = None
     worst_lo = math.inf
+
+    def verdict(kind: SignKind, **fields) -> SignVerdict:
+        return SignVerdict(
+            kind, nodes=nodes, max_depth=deepest, leaves_margin=by_margin,
+            leaves_zero=by_zero, leaves_exhausted=exhausted, **fields,
+        )
 
     while stack:
         lo, hi, depth = stack.pop()
         nodes += 1
+        if depth > deepest:
+            deepest = depth
         enc = p.eval_interval(Interval(lo, hi))
 
         if enc.lo > tol:
-            min_margin = min(min_margin, enc.lo)
+            if enc.lo < min_margin:
+                min_margin = enc.lo
+            by_margin += 1
             continue
 
         mid = 0.5 * (lo + hi)
-        for h in (lo, mid, hi):
+        for h in (lo, mid, hi) if depth == 0 else (mid,):
             val = p.eval(h)
             if val < 0.0:
-                return SignVerdict(SignKind.NEGATIVE_SOMEWHERE, margin=val, witness=h)
+                return verdict(SignKind.NEGATIVE_SOMEWHERE, margin=val, witness=h)
 
         if zeros_in_region and enc.lo >= -tol and any(lo <= z <= hi for z in zeros_in_region):
-            used_zero_rule = True
+            by_zero += 1
             continue
 
         if depth >= max_depth or nodes > _MAX_NODES or not (lo < mid < hi):
-            exhausted = True
+            exhausted += 1
             if enc.lo < worst_lo:
                 worst_lo = enc.lo
                 worst_residual = enc
@@ -402,15 +392,13 @@ def certify_sign(
         stack.append((mid, hi, depth + 1))
 
     if exhausted:
-        return SignVerdict(
+        return verdict(
             SignKind.INDETERMINATE,
             margin=worst_lo if math.isfinite(worst_lo) else 0.0,
             residual=worst_residual,
         )
-    if used_zero_rule:
+    if by_zero:
         # The region touches a declared zero, so the certified distance
         # from zero is zero regardless of margins elsewhere.
-        return SignVerdict(
-            SignKind.NON_NEGATIVE_WITH_ZEROS, margin=0.0, zeros=zeros_in_region
-        )
-    return SignVerdict(SignKind.POSITIVE, margin=min_margin)
+        return verdict(SignKind.NON_NEGATIVE_WITH_ZEROS, margin=0.0, zeros=zeros_in_region)
+    return verdict(SignKind.POSITIVE, margin=min_margin)

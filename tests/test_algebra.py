@@ -1,9 +1,14 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from carleman_cone.algebra import (
+    _ABS,
+    _POW_UNITS,
+    _REL,
     Interval,
     PowerSum,
     SignKind,
@@ -20,6 +25,52 @@ def random_power_sum(rng, allow_negative_exponents=False):
         for _ in range(n)
     )
     return PowerSum(terms)
+
+
+def enclosure_cases(seed, count):
+    """Random (sum, region) pairs: real exponents in [-2, 4], with a term of
+    integer exponent (0 included) in about half the sums."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        p = random_power_sum(rng, allow_negative_exponents=True)
+        if rng.random() < 0.5:
+            extra = (float(rng.uniform(-10.0, 10.0)), float(rng.integers(-2, 5)))
+            p = p + PowerSum((extra,))
+        lo = float(rng.uniform(0.01, 0.9))
+        hi = float(rng.uniform(lo, 1.0))
+        yield p, lo, hi, rng
+
+
+# ---------------------------------------------------------------------------
+# Reference enclosure: per-operation interval arithmetic, each operation
+# padded outward (power by _POW_UNITS units).  PowerSum.eval_interval does the
+# same arithmetic in the same order in plain floats and must agree bit for bit.
+# ---------------------------------------------------------------------------
+
+def _outward(lo, hi, units=1):
+    return (lo - units * (_REL * abs(lo) + _ABS), hi + units * (_REL * abs(hi) + _ABS))
+
+
+def _power(lo, hi, p):
+    if p == 0.0:
+        return (1.0, 1.0)
+    vlo, vhi = math.pow(lo, p), math.pow(hi, p)
+    if p < 0.0:
+        vlo, vhi = vhi, vlo
+    return _outward(vlo, vhi, units=_POW_UNITS)
+
+
+def _scaled(iv, c):
+    lo, hi = iv
+    return _outward(c * lo, c * hi) if c >= 0.0 else _outward(c * hi, c * lo)
+
+
+def reference_eval_interval(p, lo, hi):
+    acc = (0.0, 0.0)
+    for c, q in p.terms:
+        term = _scaled(_power(lo, hi, q), c)
+        acc = _outward(acc[0] + term[0], acc[1] + term[1])
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -155,17 +206,45 @@ class TestInterval:
 
     def test_enclosure_soundness(self):
         # 1000 random point evaluations land inside the interval evaluation
-        rng = np.random.default_rng(3)
-        checked = 0
-        while checked < 1000:
-            p = random_power_sum(rng, allow_negative_exponents=True)
-            lo = float(rng.uniform(0.01, 0.9))
-            hi = float(rng.uniform(lo, 1.0))
-            region = Interval(lo, hi)
-            enc = p.eval_interval(region)
+        for p, lo, hi, rng in enclosure_cases(3, 50):
+            enc = p.eval_interval(Interval(lo, hi))
             for h in rng.uniform(lo, hi, size=20):
                 assert enc.contains(p.eval(float(h)))
-                checked += 1
+
+    def test_matches_reference_arithmetic_bitwise(self):
+        # the fused float loop against per-operation interval arithmetic
+        cases = list(enclosure_cases(3, 50))
+        exps = {q for p, _, _, _ in cases for _, q in p.terms}
+        coefs = [c for p, _, _, _ in cases for c, _ in p.terms]
+        assert 0.0 in exps and min(exps) < 0.0 and any(q != int(q) for q in exps)
+        assert min(coefs) < 0.0
+        for p, lo, hi, _ in cases:
+            enc = p.eval_interval(Interval(lo, hi))
+            assert (enc.lo, enc.hi) == reference_eval_interval(p, lo, hi)
+
+    def test_overflow_is_rejected(self):
+        p = PowerSum(((1e308, 0.0), (1e308, 1.0)))
+        with pytest.raises(ValueError):
+            p.eval_interval(Interval(0.5, 1.0))
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        terms=st.lists(
+            st.tuples(st.floats(-10.0, 10.0), st.integers(-3, 6)), min_size=1, max_size=6
+        ),
+        ends=st.tuples(st.floats(1e-6, 1.0), st.floats(1e-6, 1.0)),
+        points=st.lists(st.fractions(0, 1, max_denominator=10**6), max_size=5),
+    )
+    def test_contains_exact_values(self, terms, ends, points):
+        # soundness against exact rational evaluation at both endpoints and
+        # at rational points of the region
+        lo, hi = sorted(ends)
+        p = PowerSum(tuple((c, float(q)) for c, q in terms))
+        enc = p.eval_interval(Interval(lo, hi))
+        flo, fhi = Fraction(lo), Fraction(hi)
+        for h in [flo, fhi] + [flo + t * (fhi - flo) for t in points]:
+            exact = sum((Fraction(c) * h ** int(q) for c, q in p.terms), Fraction(0))
+            assert Fraction(enc.lo) <= exact <= Fraction(enc.hi)
 
     def test_negation_exact(self):
         iv = Interval(-1.5, 2.25)
@@ -241,6 +320,52 @@ class TestCertifySign:
         assert v.kind is SignKind.POSITIVE
         hs = np.linspace(0.6, 1.0, 10_000)
         assert all(fpp.eval(float(h)) > 0.0 for h in hs)
+
+    def test_work_counts(self, monkeypatch):
+        # every node is a leaf or has two children: nodes = 2 * leaves - 1
+        calls = []
+        original = PowerSum.eval_interval
+
+        def counted(self, region):
+            calls.append(region)
+            return original(self, region)
+
+        monkeypatch.setattr(PowerSum, "eval_interval", counted)
+        cubic = PowerSum(((1.0, 3.0), (-0.25, 1.0)))  # zero at h = 0.5
+        parabola = PowerSum(((1.0, 2.0), (-1.0, 1.0), (0.25, 0.0)))
+        cases = [
+            (cubic, (0.5, 1.0), ">=", (0.5,), 60),
+            (parabola + PowerSum.constant(1e-4), (0.25, 1.0), ">", (), 60),
+            (parabola, (0.25, 0.75), ">", (), 12),
+        ]
+        seen = []
+        for p, (lo, hi), claim, zeros, depth in cases:
+            calls.clear()
+            v = certify_sign(p, Interval(lo, hi), claim, known_zeros=zeros, max_depth=depth)
+            leaves = v.leaves_margin + v.leaves_zero + v.leaves_exhausted
+            assert v.nodes == len(calls) == 2 * leaves - 1
+            assert 0 < v.max_depth <= depth
+            assert (v.leaves_zero > 0) == bool(v.zeros)
+            assert (v.leaves_exhausted > 0) == (v.kind is SignKind.INDETERMINATE)
+            seen.append(v)
+        assert all(any(getattr(v, k) for v in seen)
+                   for k in ("leaves_margin", "leaves_zero", "leaves_exhausted"))
+
+    def test_work_counts_of_a_refutation(self):
+        v = certify_sign(PowerSum.monomial(1.0, 1.0), Interval(0.2, 1.0), "<=")
+        assert v.kind is SignKind.POSITIVE_SOMEWHERE
+        assert (v.nodes, v.max_depth) == (1, 0)
+        assert v.leaves_margin + v.leaves_zero + v.leaves_exhausted == 0
+
+    def test_mirrored_keeps_work_counts(self):
+        cubic = PowerSum(((1.0, 3.0), (-0.25, 1.0)))
+        v = certify_sign(cubic, Interval(0.5, 1.0), ">=", known_zeros=(0.5,))
+        w = certify_sign(-cubic, Interval(0.5, 1.0), "<=", known_zeros=(0.5,))
+        counts = ("nodes", "max_depth", "leaves_margin", "leaves_zero", "leaves_exhausted")
+        assert v.nodes > 1
+        assert w.kind is SignKind.NON_POSITIVE_WITH_ZEROS
+        assert [getattr(w, k) for k in counts] == [getattr(v, k) for k in counts]
+        assert v.mirrored().mirrored() == v
 
     def test_depth_monotonicity(self):
         # increasing max_depth only resolves INDETERMINATE; certified and

@@ -218,3 +218,62 @@ class TestDirectFeasibility:
         r1 = direct_feasibility(p)
         r2 = direct_feasibility(p)
         assert r1 == r2
+
+
+# Verdicts, margins, witnesses and eval_interval call counts recorded with
+# the per-operation interval arithmetic (reference_eval_interval in
+# test_algebra.py), at alpha = 1.999: a feasible point, a point the boundary
+# law refutes, one that bisection refutes, and a feasible point just below
+# the m = 2.9 frontier.
+RECORDED = [
+    ((2.46, 0.6), "feasible", 186, {
+        "lemma31_i": ("NON_NEGATIVE_WITH_ZEROS", 0.0, None),
+        "lemma31_ii": ("POSITIVE", 2.8394716573791805, None),
+        "lemma31_iii": ("POSITIVE", 0.32346638770911307, None),
+        "lemma31_iv": ("NON_POSITIVE_WITH_ZEROS", 0.629090172586764, None),
+        "l1_direct": ("POSITIVE", 0.0070537620828647835, None),
+        "l3_lower_bound": ("POSITIVE", 0.10284455610664124, None),
+    }),
+    ((2.46, 0.8), "infeasible", 5, {
+        "lemma31_i": ("NON_NEGATIVE_WITH_ZEROS", 0.0, None),
+        "lemma31_ii": ("POSITIVE", 3.241226320127367, None),
+        "lemma31_iii": ("POSITIVE", 0.6564149303666159, None),
+        "lemma31_iv": ("NON_POSITIVE_WITH_ZEROS", 1.4572498246966499, None),
+        "l1_direct": ("NEGATIVE_SOMEWHERE", -1.9017510199100198, 0.8),
+        "l3_lower_bound": ("NEGATIVE_SOMEWHERE", -0.8643032084154905, 0.8),
+    }),
+    ((2.9, 0.6323693847656251), "infeasible", 2392, {
+        "lemma31_i": ("NON_NEGATIVE_WITH_ZEROS", 0.0, None),
+        "lemma31_ii": ("POSITIVE", 3.647752395106563, None),
+        "lemma31_iii": ("POSITIVE", 0.6925002905580919, None),
+        "lemma31_iv": ("NON_POSITIVE_WITH_ZEROS", 1.3295088384077218, None),
+        "l1_direct": ("NEGATIVE_SOMEWHERE", -0.0004273194751789333, 0.9712788581848144),
+        "l3_lower_bound": ("POSITIVE", 0.07338197047353605, None),
+    }),
+    ((2.9, 0.6323095703125), "feasible", 28456, {
+        "lemma31_i": ("NON_NEGATIVE_WITH_ZEROS", 0.0, None),
+        "lemma31_ii": ("POSITIVE", 3.6474418639254913, None),
+        "lemma31_iii": ("POSITIVE", 0.6923103515207596, None),
+        "lemma31_iv": ("NON_POSITIVE_WITH_ZEROS", 1.3290310312903475, None),
+        "l1_direct": ("POSITIVE", 8.912831361840282e-09, None),
+        "l3_lower_bound": ("POSITIVE", 0.07372737514519072, None),
+    }),
+]
+
+
+@pytest.mark.parametrize("point, overall, calls, checks", RECORDED)
+def test_direct_feasibility_matches_recorded(monkeypatch, point, overall, calls, checks):
+    seen = []
+    original = PowerSum.eval_interval
+
+    def counted(self, region):
+        seen.append(region)
+        return original(self, region)
+
+    monkeypatch.setattr(PowerSum, "eval_interval", counted)
+    m, eps = point
+    rep = direct_feasibility(WeightParams(m=m, alpha=1.999, gamma=1.0, epsilon=eps))
+    assert rep.overall == overall
+    assert len(seen) == calls == sum(v.nodes for v in rep.checks.values())
+    got = {k: (v.kind.name, v.margin, v.witness) for k, v in rep.checks.items()}
+    assert got == checks
