@@ -225,7 +225,7 @@ class SignKind(Enum):
     """Outcome taxonomy of :func:`certify_sign`.
 
     ``POSITIVE_SOMEWHERE`` mirrors ``NEGATIVE_SOMEWHERE`` for refuted
-    upper-sign claims (``<= 0`` / ``< 0``); a certified strictly-negative
+    upper-sign claims (``<= 0``); a certified strictly-negative
     result is reported as ``NON_POSITIVE_WITH_ZEROS`` with an empty zero
     list and a positive margin.
     """
@@ -278,12 +278,6 @@ class SignVerdict:
             return self.kind is SignKind.POSITIVE
         if claim == "<=":
             return self.kind is SignKind.NON_POSITIVE_WITH_ZEROS
-        if claim == "<":
-            return (
-                self.kind is SignKind.NON_POSITIVE_WITH_ZEROS
-                and self.margin > 0.0
-                and not self.zeros
-            )
         raise ValueError(f"unknown claim {claim!r}")
 
     def mirrored(self) -> "SignVerdict":
@@ -304,7 +298,7 @@ class SignVerdict:
         return replace(self, kind=flip[self.kind], margin=margin, residual=residual)
 
 
-_MIRROR_CLAIM = {"<=": ">=", "<": ">"}
+_MIRROR_CLAIM = {"<=": ">="}
 
 
 def certify_sign(

@@ -53,7 +53,7 @@ _COMMAND_FLAGS = {
     "check": ("m", "alpha", "gamma", "eps", "tol"),
     "frontier": ("m", "alpha", "family", "tol"),
     "scan": ("m_grid", "alpha", "tol", "csv"),
-    "quadrature": ("m", "alpha", "gamma", "eps", "dim", "a", "K", "K_cap", "grid"),
+    "quadrature": ("m", "alpha", "eps", "dim", "a", "K", "K_cap", "grid"),
     "identities": ("m", "alpha", "gamma", "eps", "dim", "seed"),
 }
 COMMANDS = tuple(_COMMAND_FLAGS)
@@ -313,8 +313,11 @@ def _validate(cfg: RunConfig) -> None:
         _require(cfg.K_cap <= k_max, "K_cap",
                  f"t_lo**-(K_cap+2) leaves the float64 range for t_lo = {t_lo:g}; "
                  f"the largest admissible K is {k_max:g}, got {cfg.K_cap}")
-        _require(all(a >= 0.0 for a in cfg.a_list), "a", "all values must be >= 0")
+        _require(all(math.isfinite(a) and a >= 0.0 for a in cfg.a_list), "a",
+                 "all values must be finite and >= 0")
         _require(cfg.grid >= 2, "grid", f"needs at least 2 nodes per axis, got {cfg.grid}")
+    if cmd == "identities":
+        _require(cfg.seed >= 0, "seed", f"must be >= 0, got {cfg.seed}")
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +410,7 @@ def _run_gamma1(cfg: RunConfig) -> tuple[int, Any, dict]:
 def _run_check(cfg: RunConfig) -> tuple[int, Any, dict]:
     params = WeightParams(m=cfg.m, alpha=cfg.alpha, gamma=cfg.gamma, epsilon=cfg.eps)
     direct = direct_feasibility(params, tol=cfg.tol)
-    route = sufficient_route_check(params, tol=cfg.tol)
+    route = sufficient_route_check(params)
     verdicts = {k: _verdict_json(route.checks[k]) for k in ROUTE_KEYS}
     verdicts.update({k: _verdict_json(direct.checks[k]) for k in DIRECT_KEYS})
     witness = None

@@ -20,7 +20,7 @@ All functions are pure; reports are plain immutable values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .algebra import (
@@ -134,10 +134,10 @@ def _scalar_check(value: float, claim: str, where: Optional[float] = None) -> Si
             zeros = (where,) if where is not None else ()
             return SignVerdict(SignKind.NON_NEGATIVE_WITH_ZEROS, zeros=zeros)
         return SignVerdict(SignKind.NEGATIVE_SOMEWHERE, margin=value, witness=where)
-    if claim in ("<=", "<"):
+    if claim == "<=":
         if value < 0.0:
             return SignVerdict(SignKind.NON_POSITIVE_WITH_ZEROS, margin=-value)
-        if value == 0.0 and claim == "<=":
+        if value == 0.0:
             zeros = (where,) if where is not None else ()
             return SignVerdict(SignKind.NON_POSITIVE_WITH_ZEROS, margin=0.0, zeros=zeros)
         return SignVerdict(SignKind.POSITIVE_SOMEWHERE, margin=value, witness=where)
@@ -247,7 +247,7 @@ def l1_boundary_law(params: WeightParams) -> float:
 # Certifiers
 # ---------------------------------------------------------------------------
 
-def sufficient_route_check(params: WeightParams, tol: float = DEFAULT_TOL) -> ConditionReport:
+def sufficient_route_check(params: WeightParams) -> ConditionReport:
     """Decomposition-route certificate (partial report).
 
     Checks, in order: the gamma condition; concavity of l2 via its leading
@@ -287,14 +287,7 @@ def direct_feasibility(params: WeightParams, tol: float = DEFAULT_TOL) -> Condit
     region = Interval(eps, 1.0)
     checks = dict(lemma31_check(params, tol=tol))
 
-    l1 = build_l("l1", params)
-    if l1_boundary_law(params) < 0.0 and l1.eval(eps) < 0.0:
-        # The boundary value is already negative; no bisection needed.
-        checks["l1_direct"] = SignVerdict(
-            SignKind.NEGATIVE_SOMEWHERE, margin=l1.eval(eps), witness=eps
-        )
-    else:
-        checks["l1_direct"] = certify_sign(l1, region, ">=", tol=tol)
+    checks["l1_direct"] = certify_sign(build_l("l1", params), region, ">=", tol=tol)
 
     a = params.alpha
     bound = (a * a + a) * math.pow(eps, params.m) ** 2

@@ -30,15 +30,23 @@ class IdentityResult:
     detail: str
 
 
+def _directions(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
+    """``count`` random unit vectors in the ``dim - 1`` axes orthogonal to x1."""
+    if dim == 2:
+        return rng.choice([-1.0, 1.0], size=(count, 1))
+    angles = rng.normal(size=(count, dim - 1))
+    angles /= np.linalg.norm(angles, axis=1, keepdims=True)
+    return angles
+
+
 def sample_cone_points(
     params: WeightParams,
     count: int,
     rng: np.random.Generator,
     dim: int = 2,
-    r_range: tuple[float, float] = (1.0, 10.0),
     h_min_offset: float = 0.02,
 ) -> np.ndarray:
-    """Random interior cone points: h uniform, radius log-uniform.
+    """Random interior cone points: h uniform, radius log-uniform on (1, 10).
 
     Points keep ``h = x1/|x|`` at least ``h_min_offset`` above the boundary
     value so that relative comparisons against the vanishing weight stay
@@ -46,16 +54,10 @@ def sample_cone_points(
     """
     eps = params.epsilon
     h = rng.uniform(eps + h_min_offset, 0.999, size=count)
-    r = np.exp(rng.uniform(math.log(r_range[0]), math.log(r_range[1]), size=count))
+    r = np.exp(rng.uniform(0.0, math.log(10.0), size=count))
     pts = np.empty((count, dim))
     pts[:, 0] = h * r
-    perp = r * np.sqrt(1.0 - h * h)
-    if dim == 2:
-        pts[:, 1] = perp * rng.choice([-1.0, 1.0], size=count)
-    else:
-        angles = rng.normal(size=(count, dim - 1))
-        angles /= np.linalg.norm(angles, axis=1, keepdims=True)
-        pts[:, 1:] = perp[:, None] * angles
+    pts[:, 1:] = (r * np.sqrt(1.0 - h * h))[:, None] * _directions(rng, count, dim)
     return pts
 
 
@@ -163,13 +165,7 @@ def boundary_points(params: WeightParams, count: int, rng: np.random.Generator, 
     eps = params.epsilon
     r = np.exp(rng.uniform(math.log(1.02), math.log(99.0), size=count))
     pts = np.empty((count, dim))
-    perp = r * math.sqrt(1.0 - eps * eps)
-    if dim == 2:
-        pts[:, 1] = perp * rng.choice([-1.0, 1.0], size=count)
-    else:
-        angles = rng.normal(size=(count, dim - 1))
-        angles /= np.linalg.norm(angles, axis=1, keepdims=True)
-        pts[:, 1:] = perp[:, None] * angles
+    pts[:, 1:] = (r * math.sqrt(1.0 - eps * eps))[:, None] * _directions(rng, count, dim)
     pts[:, 0] = eps * r
     # One fixed-point pass so x1 matches the recomputed norm.
     pts[:, 0] = eps * _radius(pts.T)

@@ -148,10 +148,8 @@ class CarlemanReport:
     ``lhs <= rhs``.  ``log_scale`` is the log of the unit-amplitude left
     integrand ``exp(L) (u^2 + |grad u|^2)`` at the peak of ``exp(L) u^2``,
     plus the logs of the peak's Laplace widths, so ``lhs`` is of the order
-    of ``amplitude**2``.  It does not depend on the amplitude, and it is 0
-    under ``unit_weight``, where ``lhs`` and ``rhs`` are the absolute
-    integrals.  ``grid`` is the requested grid, whose counts set the rule's
-    nodes per axis.
+    of ``amplitude**2``.  It does not depend on the amplitude.  ``grid`` is
+    the requested grid, whose counts set the rule's nodes per axis.
     """
 
     a: float
@@ -350,7 +348,7 @@ def _log_b_slopes(lo_gap, hi_gap, s, scale: float):
     return (np.where(inside, scaled, 0.0), np.where(inside, slope * scaled + curvature, 0.0))
 
 
-def _exponent_factors(p: _Point, s, slope, offsets, params: WeightParams, a, K, unit_weight):
+def _exponent_factors(p: _Point, s, slope, offsets, params: WeightParams, a, K):
     """Factor ``F(p + offsets) - F(p)`` on the tensor grid of ``offsets`` as ``X @ T``.
 
     ``offsets`` holds one array per axis (time last); ``X`` has one row per
@@ -370,66 +368,59 @@ def _exponent_factors(p: _Point, s, slope, offsets, params: WeightParams, a, K, 
     dt = offsets[dim]
     time_part = 2.0 * _log_b_rest(dt, p.lo_gap[dim], p.hi_gap[dim], s[dim]) + slope[dim] * dt
     ones_x, ones_t = np.ones(spatial.size), np.ones(dt.size)
-    if unit_weight:
-        X = np.column_stack([spatial, ones_x])
-        T = np.vstack([ones_t, time_part])
-    else:
-        m, alpha = params.m, params.alpha
-        xs = p.x[:dim]
-        r2 = float(xs @ xs)
-        r = math.sqrt(r2)
-        # x.offsets, |offsets|^2 and r^2/r0^2 - 1 over the spatial grid
-        dot = _tensor_sum([xs[j] * offsets[j] for j in range(dim)])
-        sq = _tensor_sum([o * o for o in offsets[:dim]])
-        rho = (2.0 * dot + sq) / r2
-        log_r = 0.5 * np.log1p(rho)
-        log_r_rest = 0.5 * (_log1p_rest(rho) + sq / r2)  # log(r/r0) - x.offsets/r0^2
-        u1 = _axis_view(offsets[0] / xs[0], 0, dim)
-        y = m * np.log1p(u1) + (alpha - m) * log_r
-        y_rest = m * _log1p_rest(u1) + (alpha - m) * log_r_rest
-        head = math.pow(xs[0], m) * math.pow(r, alpha - m)
-        tail = math.pow(params.epsilon, m) * math.pow(r, alpha)
-        dphi = (head * np.expm1(y) - tail * np.expm1(alpha * log_r)).ravel()
-        dphi_rest = (head * (_expm1_rest(y) + y_rest)
-                     - tail * (_expm1_rest(alpha * log_r) + alpha * log_r_rest)).ravel()
-        t0 = float(p.x[dim])
-        t = t0 + dt
-        amp = math.pow(t0, -K)
-        u_t = dt / t0
-        y_t = -K * np.log1p(u_t)
-        dlam = amp * np.expm1(y_t)
-        dlam_rest = amp * (_expm1_rest(y_t) - K * _log1p_rest(u_t))
-        # the Gaussian factor's remainder: -(r0^2+K) dt^2/(8 t0^2 t)
-        # + 2 x.offsets dt/(8 t t0) - |offsets|^2/(8t)
-        X = np.column_stack([spatial + 2.0 * a * (amp - 1.0) * dphi_rest, ones_x,
-                             2.0 * a * dphi, 2.0 * dot.ravel(), -sq.ravel()])
-        T = np.vstack([
-            ones_t,
-            time_part + 2.0 * a * (head - tail) * dlam_rest
-            - (r2 + K) * dt * dt / (8.0 * t0 * t0 * t),
-            dlam,
-            dt / (8.0 * t * t0),
-            1.0 / (8.0 * t),
-        ])
+    m, alpha = params.m, params.alpha
+    xs = p.x[:dim]
+    r2 = float(xs @ xs)
+    r = math.sqrt(r2)
+    # x.offsets, |offsets|^2 and r^2/r0^2 - 1 over the spatial grid
+    dot = _tensor_sum([xs[j] * offsets[j] for j in range(dim)])
+    sq = _tensor_sum([o * o for o in offsets[:dim]])
+    rho = (2.0 * dot + sq) / r2
+    log_r = 0.5 * np.log1p(rho)
+    log_r_rest = 0.5 * (_log1p_rest(rho) + sq / r2)  # log(r/r0) - x.offsets/r0^2
+    u1 = _axis_view(offsets[0] / xs[0], 0, dim)
+    y = m * np.log1p(u1) + (alpha - m) * log_r
+    y_rest = m * _log1p_rest(u1) + (alpha - m) * log_r_rest
+    head = math.pow(xs[0], m) * math.pow(r, alpha - m)
+    tail = math.pow(params.epsilon, m) * math.pow(r, alpha)
+    dphi = (head * np.expm1(y) - tail * np.expm1(alpha * log_r)).ravel()
+    dphi_rest = (head * (_expm1_rest(y) + y_rest)
+                 - tail * (_expm1_rest(alpha * log_r) + alpha * log_r_rest)).ravel()
+    t0 = float(p.x[dim])
+    t = t0 + dt
+    amp = math.pow(t0, -K)
+    u_t = dt / t0
+    y_t = -K * np.log1p(u_t)
+    dlam = amp * np.expm1(y_t)
+    dlam_rest = amp * (_expm1_rest(y_t) - K * _log1p_rest(u_t))
+    # the Gaussian factor's remainder: -(r0^2+K) dt^2/(8 t0^2 t)
+    # + 2 x.offsets dt/(8 t t0) - |offsets|^2/(8t)
+    X = np.column_stack([spatial + 2.0 * a * (amp - 1.0) * dphi_rest, ones_x,
+                         2.0 * a * dphi, 2.0 * dot.ravel(), -sq.ravel()])
+    T = np.vstack([
+        ones_t,
+        time_part + 2.0 * a * (head - tail) * dlam_rest
+        - (r2 + K) * dt * dt / (8.0 * t0 * t0 * t),
+        dlam,
+        dt / (8.0 * t * t0),
+        1.0 / (8.0 * t),
+    ])
     return np.maximum(X, _LOG_ZERO), np.maximum(T, _LOG_ZERO)
 
 
-def _exponent_step(p: _Point, s, slope, delta, params, a, K, unit_weight) -> float:
+def _exponent_step(p: _Point, s, slope, delta, params, a, K) -> float:
     """``F(p + delta) - F(p)`` for one displacement."""
-    X, T = _exponent_factors(p, s, slope, [np.array([d]) for d in delta],
-                             params, a, K, unit_weight)
+    X, T = _exponent_factors(p, s, slope, [np.array([d]) for d in delta], params, a, K)
     return float((X @ T)[0, 0])
 
 
-def _exponent_value(p: _Point, s, params, a, K, unit_weight) -> float:
-    value = 2.0 * float(np.sum(_log_b(p.lo_gap, p.hi_gap, s)))
-    if not unit_weight:
-        dim = len(s) - 1
-        value += log_weight(p.x[:dim], float(p.x[dim]), a, K, params)
-    return value
+def _exponent_value(p: _Point, s, params, a, K) -> float:
+    dim = len(s) - 1
+    return (2.0 * float(np.sum(_log_b(p.lo_gap, p.hi_gap, s)))
+            + log_weight(p.x[:dim], float(p.x[dim]), a, K, params))
 
 
-def _grad_hess(p: _Point, s, modes, params, a, K, unit_weight):
+def _grad_hess(p: _Point, s, modes, params, a, K):
     """Gradient and Hessian of ``F = L + 2 log B`` in Newton's coordinates ``y``.
 
     An axis with ``modes`` +1 (-1) is the log of its distance to the lower
@@ -447,8 +438,6 @@ def _grad_hess(p: _Point, s, modes, params, a, K, unit_weight):
     grad = 2.0 * first
     hess = np.diag(2.0 * (-2.0 * s * s * (e + diff * diff) / e * per_e * per_e
                           + np.where(log_axis, first, 0.0)))
-    if unit_weight:
-        return grad, hess, jac
     dim = len(s) - 1
     x, t = p.x[:dim], float(p.x[dim])
     lam = math.pow(t, -K) - 1.0
@@ -487,7 +476,7 @@ def _ascent_step(g: np.ndarray, H: np.ndarray) -> np.ndarray:
     return g / np.maximum(np.abs(np.diag(H)), np.maximum(np.abs(g), 1e-300))
 
 
-def _find_peak(start: _Point, modes, s, floor_lo, floor_hi, params, a, K, unit_weight) -> _Peak:
+def _find_peak(start: _Point, modes, s, floor_lo, floor_hi, params, a, K) -> _Peak:
     """Newton ascent on ``F`` from ``start``, then the Laplace widths there.
 
     An axis with ``modes`` +1 (-1) moves in the log of its distance to the
@@ -502,7 +491,7 @@ def _find_peak(start: _Point, modes, s, floor_lo, floor_hi, params, a, K, unit_w
     log_axis = modes != 0
     stationary = False
     for _ in range(_NEWTON_STEPS):
-        gy, Hy, jac = _grad_hess(p, s, modes, params, a, K, unit_weight)
+        gy, Hy, jac = _grad_hess(p, s, modes, params, a, K)
         step = _ascent_step(gy, Hy)
         resolution = 16.0 * np.where(log_axis, _EPS * np.minimum(p.lo_gap, p.hi_gap),
                                      np.spacing(np.abs(p.x)))
@@ -515,7 +504,7 @@ def _find_peak(start: _Point, modes, s, floor_lo, floor_hi, params, a, K, unit_w
             q = p.moved(delta)
             if (np.all(np.isfinite(delta)) and np.all(q.lo_gap > floor_lo)
                     and np.all(q.hi_gap > floor_hi)
-                    and _exponent_step(p, s, gy / jac, delta, params, a, K, unit_weight) > 0.0):
+                    and _exponent_step(p, s, gy / jac, delta, params, a, K) > 0.0):
                 break
             step = 0.5 * step
             with np.errstate(over="ignore", invalid="ignore"):
@@ -523,14 +512,13 @@ def _find_peak(start: _Point, modes, s, floor_lo, floor_hi, params, a, K, unit_w
         else:
             break
         p = q
-    gy, Hy, jac = _grad_hess(p, s, modes, params, a, K, unit_weight)
+    gy, Hy, jac = _grad_hess(p, s, modes, params, a, K)
     # Laplace widths (-d^2F/dx_i^2)^-1/2 = |dx/dy| (-d^2F/dy_i^2)^-1/2;
     # half the radius where F is not concave
     curv = -np.diag(Hy)
     ok = np.isfinite(curv) & (curv > 0.0)
     sigma = np.where(ok, np.abs(jac) / np.sqrt(np.where(ok, curv, 1.0)), 0.5 * s)
-    return _Peak(p, sigma,
-                 _exponent_value(p, s, params, a, K, unit_weight),
+    return _Peak(p, sigma, _exponent_value(p, s, params, a, K),
                  np.zeros_like(gy) if stationary else gy / jac)
 
 
@@ -607,7 +595,7 @@ def _stream(X, T, R) -> np.ndarray:
     return out
 
 
-def _newton_start(lo, hi, s, box_lo, box_hi, params: WeightParams, a, K, unit_weight):
+def _newton_start(lo, hi, s, box_lo, box_hi, params: WeightParams, a, K):
     """Newton's start point and axis modes for the bump, picked on a coarse lattice.
 
     The lattice has ``_START_NODES`` uniform nodes per axis over the bump's
@@ -628,14 +616,13 @@ def _newton_start(lo, hi, s, box_lo, box_hi, params: WeightParams, a, K, unit_we
     applied once more.  It is the slope of all of ``F``, not of the weight
     alone, so an axis moves only where the weight's pull outweighs the
     bump's own slope, and never onto the box's edge where the box clips
-    the bump.  Mode-0 axes and ``unit_weight`` keep the lattice start.
+    the bump.  Mode-0 axes keep the lattice start.
     """
     axes = [np.linspace(start, stop, _START_NODES)
             for start, stop in zip(np.maximum(lo, box_lo), np.minimum(hi, box_hi))]
     F = _tensor_sum([2.0 * _log_b(ax - lo[i], hi[i] - ax, s[i]) for i, ax in enumerate(axes)])
-    if not unit_weight:
-        views = [_axis_view(ax, i, len(axes)) for i, ax in enumerate(axes)]
-        F += log_weight(views[:-1], views[-1], a, K, params)
+    views = [_axis_view(ax, i, len(axes)) for i, ax in enumerate(axes)]
+    F += log_weight(views[:-1], views[-1], a, K, params)
     index = np.unravel_index(int(np.argmax(F)), F.shape)
     x = np.array([ax[j] for ax, j in zip(axes, index)])
     modes = np.zeros(len(axes))
@@ -644,10 +631,10 @@ def _newton_start(lo, hi, s, box_lo, box_hi, params: WeightParams, a, K, unit_we
         if j in (inside[0], inside[-1]):
             modes[i] = 1.0 if x[i] - lo[i] <= hi[i] - x[i] else -1.0
     point = _Point(x, x - lo, hi - x)
-    if unit_weight or not np.any(modes):
+    if not np.any(modes):
         return point, modes
     for _ in range(2):
-        g = _grad_hess(point, s, np.zeros_like(modes), params, a, K, unit_weight)[0]
+        g = _grad_hess(point, s, np.zeros_like(modes), params, a, K)[0]
         x, lo_gap, hi_gap = point.x.copy(), point.lo_gap.copy(), point.hi_gap.copy()
         for i in np.nonzero(np.isfinite(g) & (modes * g < 0.0))[0]:
             floor = box_lo[i] - lo[i] if modes[i] > 0 else hi[i] - box_hi[i]
@@ -666,8 +653,6 @@ def carleman_integrals(
     a: float,
     K: float,
     grid: GridSpec,
-    *,
-    unit_weight: bool = False,
 ) -> CarlemanReport:
     """Both sides of the weighted inequality by a peak-resolving product rule.
 
@@ -691,8 +676,7 @@ def carleman_integrals(
     is below that range, so ``rhs`` reads ``inf`` and ``ratio`` 0.
 
     When the amplitude is 0 or the bump misses ``grid.box``, both sides
-    are 0 and the report passes.  ``unit_weight=True`` replaces ``L`` by 0
-    (plain unweighted quadrature, used by exactness tests).
+    are 0 and the report passes.
     """
     if not a >= 0.0:
         raise ValueError(f"a must be nonnegative, got {a}")
@@ -707,9 +691,9 @@ def carleman_integrals(
     if u.amplitude == 0.0 or not (np.all(lo < box_hi) and np.all(hi > box_lo)):
         return CarlemanReport(a=a, K=K, lhs=0.0, rhs=0.0, ratio=0.0, grid=grid, passed=True)
 
-    point, modes = _newton_start(lo, hi, s, box_lo, box_hi, params, a, K, unit_weight)
+    point, modes = _newton_start(lo, hi, s, box_lo, box_hi, params, a, K)
     peak = _find_peak(point, modes, s, np.maximum(box_lo - lo, 0.0),
-                      np.maximum(hi - box_hi, 0.0), params, a, K, unit_weight)
+                      np.maximum(hi - box_hi, 0.0), params, a, K)
     p = peak.point
     # sqrt of the unit-amplitude left payload over u^2 at the peak
     slopes = _log_b_slope(p.lo_gap[:dim], p.hi_gap[:dim], s[:dim])
@@ -720,7 +704,7 @@ def carleman_integrals(
         """The exponent's fall along the axis at offsets g from the peak."""
         offsets = [np.zeros(1)] * (dim + 1)
         offsets[axis] = g
-        X, T = _exponent_factors(p, s, peak.slope, offsets, params, a, K, unit_weight)
+        X, T = _exponent_factors(p, s, peak.slope, offsets, params, a, K)
         return (X @ T).ravel()
 
     # the peak's distances to the ends of the bump's support clipped to the box
@@ -736,7 +720,7 @@ def carleman_integrals(
     # Exponent factors and payload slopes over u, all about the peak.
     # Where the ratio is below the float64 range, rhs overflows to inf.
     with np.errstate(over="ignore"):
-        X, T = _exponent_factors(p, s, peak.slope, offsets, params, a, K, unit_weight)
+        X, T = _exponent_factors(p, s, peak.slope, offsets, params, a, K)
         g_x, h_x = zip(*(_log_b_slopes(p.lo_gap[i] + offsets[i], p.hi_gap[i] - offsets[i],
                                        s[i], scale) for i in range(dim)))
         g_t, _ = _log_b_slopes(p.lo_gap[dim] + offsets[dim], p.hi_gap[dim] - offsets[dim],
@@ -747,8 +731,6 @@ def carleman_integrals(
         amp2 = u.amplitude * u.amplitude
         lhs = amp2 * float(w_x @ (((1.0 / scale) ** 2 + grad) * S[:, 0]))
         rhs = amp2 * float(w_x @ ((H * S[:, 0] + 2.0 * S[:, 1]) * H + S[:, 2]))
-    if unit_weight:
-        lhs, rhs, log_scale = lhs * math.exp(log_scale), rhs * math.exp(log_scale), 0.0
     ratio = lhs / rhs if rhs > 0.0 else 0.0
     return CarlemanReport(a=a, K=K, lhs=lhs, rhs=rhs, ratio=ratio, grid=grid,
                           passed=bool(lhs <= rhs), log_scale=log_scale)

@@ -46,10 +46,6 @@ _COND_LIMIT = 1e14
 class NonConvergenceError(RuntimeError):
     """Newton iteration exhausted max_iter without meeting the tolerance."""
 
-    def __init__(self, message: str, last: Optional["SolverResult"] = None):
-        super().__init__(message)
-        self.last = last
-
 
 class SingularJacobianError(RuntimeError):
     """Finite-difference Jacobian is numerically singular."""
@@ -166,21 +162,17 @@ def solve_critical_system(
                 break
             lam *= 0.5
         else:
-            raise NonConvergenceError(
-                "damping exhausted without residual decrease",
-                last=_solver_result(x, r, iteration, converged=False),
-            )
+            raise NonConvergenceError("damping exhausted without residual decrease")
         x, r = cand, r_cand
 
     if np.max(np.abs(r)) <= tol:
         return _solver_result(x, r, max_iter)
     raise NonConvergenceError(
-        f"no convergence after {max_iter} iterations (max residual {np.max(np.abs(r)):.3g})",
-        last=_solver_result(x, r, max_iter, converged=False),
+        f"no convergence after {max_iter} iterations (max residual {np.max(np.abs(r)):.3g})"
     )
 
 
-def _solver_result(x: np.ndarray, r: np.ndarray, iterations: int, converged: bool = True) -> SolverResult:
+def _solver_result(x: np.ndarray, r: np.ndarray, iterations: int) -> SolverResult:
     gamma, m, e = (float(v) for v in x)
     res = residuals_critical(gamma, m, e)
     return SolverResult(
@@ -190,7 +182,7 @@ def _solver_result(x: np.ndarray, r: np.ndarray, iterations: int, converged: boo
         theta_deg=math.degrees(2.0 * math.acos(e)),
         residuals=res,
         iterations=iterations,
-        converged=converged,
+        converged=True,
     )
 
 
@@ -245,7 +237,6 @@ def frontier_epsilon(
     alpha: float,
     m: Optional[float] = None,
     tol: float = 1e-4,
-    feasibility_tol: float = 1e-12,
 ) -> FrontierResult:
     """Supremum epsilon for which the direct certificate passes.
 
@@ -274,7 +265,7 @@ def frontier_epsilon(
         nonlocal evaluations
         evaluations += 1
         params = WeightParams(m=exponent, alpha=alpha, gamma=1.0, epsilon=eps)
-        return direct_feasibility(params, tol=feasibility_tol).overall == "feasible"
+        return direct_feasibility(params).overall == "feasible"
 
     lo, hi = 0.01, 0.99
     if not feasible(lo):

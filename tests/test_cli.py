@@ -45,6 +45,7 @@ class TestParseConfig:
         ["solve", "--csv", "out.csv", "--K", "5"],
         ["gamma1", "--m", "2.5"],
         ["identities", "--tol", "1e-3"],
+        ["quadrature", "--gamma", "0.9"],
     ])
     def test_flag_of_another_subcommand_exits_3(self, argv, capsys):
         assert main(argv) == 3
@@ -106,6 +107,10 @@ class TestParseConfig:
     def test_main_exit_code_3(self, capsys):
         assert main(["frontier", "--m", "5"]) == 3
         assert "m" in capsys.readouterr().err
+        assert main(["identities", "--seed", "-1"]) == 3
+        assert "seed" in capsys.readouterr().err
+        assert main(["quadrature", "--a", "inf", "--grid", "5"]) == 3
+        assert "a: all values must be finite" in capsys.readouterr().err
 
 
 class TestSolveCommand:

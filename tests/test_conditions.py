@@ -222,9 +222,9 @@ class TestDirectFeasibility:
 
 # Verdicts, margins, witnesses and eval_interval call counts recorded with
 # the per-operation interval arithmetic (reference_eval_interval in
-# test_algebra.py), at alpha = 1.999: a feasible point, a point the boundary
-# law refutes, one that bisection refutes, and a feasible point just below
-# the m = 2.9 frontier.
+# test_algebra.py), at alpha = 1.999: a feasible point, a point refuted at
+# h = epsilon by the boundary law, one that bisection refutes, and a
+# feasible point just below the m = 2.9 frontier.
 RECORDED = [
     ((2.46, 0.6), "feasible", 186, {
         "lemma31_i": ("NON_NEGATIVE_WITH_ZEROS", 0.0, None),
@@ -234,7 +234,7 @@ RECORDED = [
         "l1_direct": ("POSITIVE", 0.0070537620828647835, None),
         "l3_lower_bound": ("POSITIVE", 0.10284455610664124, None),
     }),
-    ((2.46, 0.8), "infeasible", 5, {
+    ((2.46, 0.8), "infeasible", 6, {
         "lemma31_i": ("NON_NEGATIVE_WITH_ZEROS", 0.0, None),
         "lemma31_ii": ("POSITIVE", 3.241226320127367, None),
         "lemma31_iii": ("POSITIVE", 0.6564149303666159, None),

@@ -141,11 +141,11 @@ class TestCarlemanIntegrals:
         c, s = np.array(BUMP.center), np.array(BUMP.radii)
         x = np.array([4.3, -0.2, 0.42])
         p = _Point(x, x - (c - s), (c + s) - x)
-        slope, _, _ = _grad_hess(p, s, np.zeros(3), PARAMS, a, K, False)
+        slope, _, _ = _grad_hess(p, s, np.zeros(3), PARAMS, a, K)
         offsets = [np.array([-0.31, 0.0, 0.12]), np.array([-0.25, 0.05, 0.4]),
                    np.array([-0.1, 1e-3, 0.2])]
-        X, T = _exponent_factors(p, s, slope, offsets, PARAMS, a, K, False)
-        F = _exponent_value(p, s, PARAMS, a, K, False) + (X @ T).reshape(3, 3, 3)
+        X, T = _exponent_factors(p, s, slope, offsets, PARAMS, a, K)
+        F = _exponent_value(p, s, PARAMS, a, K) + (X @ T).reshape(3, 3, 3)
 
         def log_b(v, i):
             z = (v - c[i]) / s[i]
@@ -179,58 +179,15 @@ class TestCarlemanIntegrals:
         assert np.array_equal(p41.sigma, p161.sigma) and p41.value == p161.value
         assert r41.log_scale == r161.log_scale
 
-    def test_unit_weight_exactness(self):
-        # full-path 81-per-axis result vs the separable 161-per-axis
-        # reference (tensor Simpson of a product integrand factorizes)
-        def simpson_1d(f, lo, hi, n):
-            xs = np.linspace(lo, hi, n)
-            h = (hi - lo) / (n - 1)
-            w = np.full(n, 2.0)
-            w[1::2] = 4.0
-            w[0] = w[-1] = 1.0
-            return float(np.sum(w * f(xs)) * h / 3.0)
-
-        def b(z):
-            inside = np.abs(z) < 1
-            w = np.where(inside, 1 - z * z, 1.0)
-            return np.where(inside, np.exp(-1.0 / w), 0.0)
-
-        def bp(z):
-            inside = np.abs(z) < 1
-            w = np.where(inside, 1 - z * z, 1.0)
-            return b(z) * (-2.0 * z / (w * w))
-
-        c, s = BUMP.center, BUMP.radii
-        n_ref = 161
-        val2 = [
-            simpson_1d(lambda x, i=i: b((x - c[i]) / s[i]) ** 2, c[i] - s[i], c[i] + s[i], n_ref)
-            for i in range(3)
-        ]
-        grad2 = [
-            simpson_1d(
-                lambda x, i=i: (bp((x - c[i]) / s[i]) / s[i]) ** 2,
-                c[i] - s[i], c[i] + s[i], n_ref,
-            )
-            for i in range(2)
-        ]
-        ref_u2 = val2[0] * val2[1] * val2[2]
-        ref_lhs = ref_u2
-        for j in range(2):
-            term = grad2[j] * val2[2]
-            term *= val2[1 - j]
-            ref_lhs += term
-
-        rep = carleman_integrals(
-            BUMP, PARAMS, 0.0, 60.0, GridSpec.from_support(BUMP, 81), unit_weight=True
-        )
-        assert rep.lhs == pytest.approx(ref_lhs, rel=1e-3)
-
-        # u^2 alone, quadrature rule convergence at 81 vs the 161 reference
-        u2_81 = math.prod(
-            simpson_1d(lambda x, i=i: b((x - c[i]) / s[i]) ** 2, c[i] - s[i], c[i] + s[i], 81)
-            for i in range(3)
-        )
-        assert u2_81 == pytest.approx(ref_u2, rel=1e-3)
+    @pytest.mark.parametrize("K", [0.5, 60.0])
+    def test_absolute_integrals_at_a0(self, K):
+        # at a = 0 the weight is the Gaussian factor alone, which plain
+        # Simpson resolves; lhs and rhs times exp(log_scale) are the integrals
+        ref_lhs, ref_rhs = simpson_integrals(BUMP, 0.0, K)
+        rep = carleman_integrals(BUMP, PARAMS, 0.0, K, GridSpec.from_support(BUMP, 81))
+        scale = math.exp(rep.log_scale)
+        assert rep.lhs * scale == pytest.approx(ref_lhs, rel=1e-6)
+        assert rep.rhs * scale == pytest.approx(ref_rhs, rel=1e-3)
 
     def test_translation_covariance(self):
         deeper = BumpFunction(amplitude=1.0, center=(6.0, 0.0, 0.5), radii=(0.8, 0.8, 0.3))
@@ -316,8 +273,8 @@ def axis_nodes_weights(grid, axis):
     return nodes, weights * (step / 3.0)
 
 
-def simpson_ratio(u, a, K, n=161):
-    """lhs/rhs by plain tensor Simpson on n nodes per axis, one time slice at a time."""
+def simpson_integrals(u, a, K, n=161):
+    """(lhs, rhs) by plain tensor Simpson on n nodes per axis, one time slice at a time."""
     grid = GridSpec.from_support(u, n)
     (x1, w1), (x2, w2), (t, wt) = (axis_nodes_weights(grid, i) for i in range(3))
     r2 = x1[:, None] ** 2 + x2[None, :] ** 2
@@ -341,7 +298,7 @@ def simpson_ratio(u, a, K, n=161):
         env = np.exp(exponent(tk) - top) * w_x * wk
         lhs += float(np.sum(env * left))
         rhs += float(np.sum(env * right))
-    return lhs / rhs
+    return lhs * math.exp(top), rhs * math.exp(top)
 
 
 class TestPeakResolvingRule:
@@ -360,7 +317,8 @@ class TestPeakResolvingRule:
 
     @pytest.mark.parametrize("a, expected", [(0.1, 0.019845), (1.0, 0.0080027)])
     def test_resolved_ratio_matches_plain_simpson(self, a, expected):
-        reference = simpson_ratio(BUMP, a, 0.5)
+        lhs, rhs = simpson_integrals(BUMP, a, 0.5)
+        reference = lhs / rhs
         assert reference == pytest.approx(expected, rel=1e-4)
         for n in (41, 81):
             rep = carleman_integrals(BUMP, PARAMS, a, 0.5, GridSpec.from_support(BUMP, n))
@@ -378,8 +336,6 @@ class TestPeakResolvingRule:
         for K in (0.5, 60.0):  # at K = 60, log 3 is below the spacing of log_scale
             base = carleman_integrals(BUMP, PARAMS, 1.0, K, grid)
             assert carleman_integrals(tripled, PARAMS, 1.0, K, grid).log_scale == base.log_scale
-        unit = carleman_integrals(BUMP, PARAMS, 0.0, 60.0, grid, unit_weight=True)
-        assert unit.log_scale == 0.0
 
     def test_clipped_box_side_without_room_gets_every_node(self, monkeypatch):
         # at K = 60 the peak stops on the box's lower time edge, so the time
