@@ -31,7 +31,6 @@ from .quad import (
 from .solver import (
     AllInfeasibleError,
     FrontierResult,
-    NoSignChangeError,
     NonConvergenceError,
     SingularJacobianError,
     SolverResult,
@@ -73,7 +72,6 @@ __all__ = [
     "verify_carleman",
     "AllInfeasibleError",
     "FrontierResult",
-    "NoSignChangeError",
     "NonConvergenceError",
     "SingularJacobianError",
     "SolverResult",

@@ -1,11 +1,13 @@
 """Command-line surface.
 
 Subcommands: solve | gamma1 | check | frontier | scan | quadrature |
-identities.  Each subcommand accepts only the flags it reads, plus
-``--json`` and ``--config``; a ``--config`` key=value file may set any key.
-Flag values take precedence over the file, which takes precedence over
-defaults.  Exit codes: 0 success/pass, 1 certified failure or quadrature
-fail, 2 indeterminate or non-convergence, 3 usage error.
+identities.  Each subcommand accepts only the flags it reads (``_COMMANDS``),
+plus ``--json`` and ``--config``; a ``--config`` key=value file may set any
+key.  Flag values take precedence over the file, which takes precedence over
+defaults.  Every value is checked by its key's rule (``_KEYS``) whichever
+subcommand runs, and ``_validate`` checks the rules that tie keys together,
+among them the bound on ``K_cap``.  Exit codes: 0 success/pass, 1 certified
+failure or quadrature fail, 2 indeterminate or non-convergence, 3 usage error.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Optional, Sequence
+from typing import Any, Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -32,9 +34,9 @@ from .quad import (
     verify_carleman,
 )
 from .solver import (
+    DEFAULT_INIT,
     AllInfeasibleError,
     NonConvergenceError,
-    NoSignChangeError,
     SingularJacobianError,
     frontier_epsilon,
     scan_frontier,
@@ -45,79 +47,9 @@ from .weights import WeightParams
 
 __all__ = ["RunConfig", "parse_config", "execute", "main"]
 
-# The flags each subcommand reads, besides --json and --config; any other
-# flag is a usage error.  Config-file keys are accepted by every subcommand.
-_COMMAND_FLAGS = {
-    "solve": ("init", "tol", "max_iter"),
-    "gamma1": ("tol",),
-    "check": ("m", "alpha", "gamma", "eps", "tol"),
-    "frontier": ("m", "alpha", "family", "tol"),
-    "scan": ("m_grid", "alpha", "tol", "csv"),
-    "quadrature": ("m", "alpha", "eps", "dim", "a", "K", "K_cap", "grid"),
-    "identities": ("m", "alpha", "gamma", "eps", "dim", "seed"),
-}
-COMMANDS = tuple(_COMMAND_FLAGS)
-
-_DEFAULTS: dict[str, Any] = {
-    "m": 2.46,
-    "alpha": 1.999,
-    "gamma": 0.8092,
-    "eps": 0.60,
-    "dim": 2,
-    "a": [0.1, 1.0, 10.0],
-    "K": 60.0,
-    "K_cap": 240.0,
-    "grid": None,           # resolved per dim: 81 for dim=2, 41 for dim=3
-    "tol": None,            # resolved per command
-    "max_iter": 100,
-    "m_grid": None,
-    "init": (0.80, 2.45, 0.65),
-    "family": "m",
-    "seed": 42,
-    "json": False,
-    "csv": None,
-}
-
-_TOL_DEFAULTS = {
-    "solve": 1e-12,
-    "gamma1": 1e-10,
-    "check": 1e-12,
-    "frontier": 1e-4,
-    "scan": 1e-4,
-    "quadrature": 1e-12,
-    "identities": 1e-12,
-}
-
 
 class UsageError(Exception):
     """Invalid flags or config; maps to exit code 3."""
-
-
-@dataclass
-class RunConfig:
-    command: str
-    m: float
-    alpha: float
-    gamma: float
-    eps: float
-    dim: int
-    a_list: list[float]
-    K: float
-    K_cap: float
-    grid: int
-    tol: float
-    max_iter: int
-    m_grid: Optional[list[float]]
-    init: tuple[float, float, float]
-    family: str
-    seed: int
-    as_json: bool
-    csv_path: Optional[str]
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message: str):  # noqa: D102 - argparse hook
-        raise UsageError(message)
 
 
 def _parse_m_grid(text: str) -> list[float]:
@@ -143,6 +75,72 @@ def _parse_init(text: str) -> tuple[float, float, float]:
         raise UsageError(f"bad init {text!r}: {exc}") from exc
 
 
+class _Key(NamedTuple):
+    parse: Callable[[str], Any]             # flag or file text -> value
+    default: Any                            # None: unset, or resolved in parse_config
+    rule: Optional[Callable[[Any], bool]]   # the key's domain; a None value skips it
+    domain: str                             # what the rule requires, for its message
+
+
+# Every config key.  Each value, from a flag, the file or a default, must
+# pass its key's rule whichever subcommand runs.
+_KEYS = {
+    "m": _Key(float, 2.46, lambda v: 2.0 < v < 3.0, "must lie in (2, 3)"),
+    "alpha": _Key(float, 1.999, lambda v: 1.0 < v <= 2.0, "must lie in (1, 2]"),
+    "gamma": _Key(float, 0.8092, lambda v: 0.5 < v <= 1.0, "must lie in (1/2, 1]"),
+    "eps": _Key(float, 0.60, lambda v: 0.0 < v < 1.0, "must lie in (0, 1)"),
+    "dim": _Key(int, 2, lambda v: v in (2, 3), "must be 2 or 3"),
+    "a": _Key(lambda s: [float(v) for v in s.split(",")], [0.1, 1.0, 10.0],
+              lambda v: all(math.isfinite(x) and x >= 0.0 for x in v),
+              "all values must be finite and >= 0"),
+    "K": _Key(float, 60.0, lambda v: v > 0.0, "must be positive"),
+    "K_cap": _Key(float, 240.0, None, ""),  # bounded in _validate
+    "grid": _Key(int, None, lambda v: v >= 2, "needs at least 2 nodes per axis"),  # per dim
+    "tol": _Key(float, None, lambda v: v > 0.0, "must be positive"),  # per subcommand
+    "max_iter": _Key(int, 100, lambda v: v >= 1, "must be >= 1"),
+    "m_grid": _Key(_parse_m_grid, None, lambda v: all(2.0 < x < 3.0 for x in v),
+                   "entries must lie in (2, 3)"),
+    "init": _Key(_parse_init, DEFAULT_INIT,
+                 lambda v: 0.5 < v[0] <= 1.0 and 2.0 < v[1] < 3.0 and 0.0 < v[2] < 1.0,
+                 "gamma,m,e must lie in (1/2, 1] x (2, 3) x (0, 1)"),
+    "family": _Key(str, "m", lambda v: v in ("m", "alpha"), "must be m or alpha"),
+    "seed": _Key(int, 42, lambda v: v >= 0, "must be >= 0"),
+    "json": _Key(lambda s: s.strip().lower() in ("1", "true", "yes"), False, None, ""),
+    "csv": _Key(str, None, None, ""),
+}
+
+
+@dataclass
+class RunConfig:
+    command: str
+    m: float
+    alpha: float
+    gamma: float
+    eps: float
+    dim: int
+    a: list[float]
+    K: float
+    K_cap: float
+    grid: int
+    tol: Optional[float]        # None for the subcommands that read no tol
+    max_iter: int
+    m_grid: Optional[list[float]]
+    init: tuple[float, float, float]
+    family: str
+    seed: int
+    json: bool
+    csv: Optional[str]
+
+    @property
+    def params(self) -> WeightParams:
+        return WeightParams(m=self.m, alpha=self.alpha, gamma=self.gamma, epsilon=self.eps)
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):  # noqa: D102 - argparse hook
+        raise UsageError(message)
+
+
 @functools.lru_cache(maxsize=1)
 def _build_parser() -> _Parser:
     """The argparse tree of every subcommand, built on first use and then reused.
@@ -153,38 +151,17 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="carleman-cone")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command")
-    for name, keys in _COMMAND_FLAGS.items():
+    for name, command in _COMMANDS.items():
         p = sub.add_parser(name)
-        for key in keys:
+        for key in command.flags:
             flag = "--" + key.replace("_", "-")
             if key == "a":
                 p.add_argument(flag, type=float, action="append")
             else:
-                p.add_argument(flag, type=_CONFIG_PARSERS[key])
+                p.add_argument(flag, type=_KEYS[key].parse)
         p.add_argument("--json", action="store_const", const=True, default=None)
         p.add_argument("--config", type=str)
     return parser
-
-
-_CONFIG_PARSERS = {
-    "m": float,
-    "alpha": float,
-    "gamma": float,
-    "eps": float,
-    "dim": int,
-    "a": lambda s: [float(v) for v in s.split(",")],
-    "K": float,
-    "K_cap": float,
-    "grid": int,
-    "tol": float,
-    "max_iter": int,
-    "m_grid": str,
-    "init": str,
-    "family": str,
-    "seed": int,
-    "json": lambda s: s.strip().lower() in ("1", "true", "yes"),
-    "csv": str,
-}
 
 
 def _read_config_file(text: str) -> dict[str, Any]:
@@ -197,127 +174,83 @@ def _read_config_file(text: str) -> dict[str, Any]:
             raise UsageError(f"config line {lineno} is not key=value: {raw!r}")
         key, _, value = line.partition("=")
         key = key.strip()
-        if key not in _CONFIG_PARSERS:
+        if key not in _KEYS:
             raise UsageError(f"unknown config key {key!r}")
         try:
-            values[key] = _CONFIG_PARSERS[key](value.strip())
+            values[key] = _KEYS[key].parse(value.strip())
         except (ValueError, UsageError) as exc:
             raise UsageError(f"bad config value for {key!r}: {exc}") from exc
     return values
-
-
-def _require(ok: bool, key: str, message: str) -> None:
-    if not ok:
-        raise UsageError(f"{key}: {message}")
 
 
 def parse_config(argv: Sequence[str], file_text: Optional[str] = None) -> RunConfig:
     """Resolve argv (+ optional config text) into a validated RunConfig.
 
     Precedence is flags > config file > defaults.  A subcommand accepts only
-    the flags it reads (``_COMMAND_FLAGS``) plus ``--json`` and
-    ``--config``; other flags and unknown config keys are rejected.
+    the flags it reads (``_COMMANDS``) plus ``--json`` and ``--config``;
+    other flags and unknown config keys are rejected, and every value must
+    pass its key's rule (``_KEYS``) and the rules tying keys together
+    (``_validate``).
     """
-    parser = _build_parser()
-    ns = parser.parse_args(list(argv))
+    ns = _build_parser().parse_args(list(argv))
     if ns.command is None:
-        raise UsageError(f"missing subcommand (one of {', '.join(COMMANDS)})")
+        raise UsageError(f"missing subcommand (one of {', '.join(_COMMANDS)})")
 
-    file_values: dict[str, Any] = {}
     if file_text is None and ns.config is not None:
-        path = Path(ns.config)
-        if not path.exists():
-            raise UsageError(f"config: file not found: {ns.config}")
-        file_text = path.read_text(encoding="utf-8")
-    if file_text is not None:
-        file_values = _read_config_file(file_text)
+        try:
+            file_text = Path(ns.config).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise UsageError(f"config: {exc}") from exc
+    file_values = {} if file_text is None else _read_config_file(file_text)
 
-    def pick(key: str):
+    values: dict[str, Any] = {}
+    for key, spec in _KEYS.items():
         flag_value = getattr(ns, key, None)
-        if flag_value is not None:
-            return flag_value
-        if key in file_values:
-            return file_values[key]
-        return _DEFAULTS[key]
+        values[key] = flag_value if flag_value is not None else file_values.get(key, spec.default)
+    values["a"] = list(values["a"])  # the caller's own list, never the shared default
+    if values["grid"] is None:
+        values["grid"] = 81 if values["dim"] == 2 else 41
+    if values["tol"] is None:
+        values["tol"] = _COMMANDS[ns.command].tol
+    for key, value in values.items():
+        spec = _KEYS[key]
+        if value is not None and spec.rule is not None and not spec.rule(value):
+            raise UsageError(f"{key}: {spec.domain}, got {value}")
 
-    command = ns.command
-    dim = pick("dim")
-    _require(dim in (2, 3), "dim", f"must be 2 or 3, got {dim}")
-
-    grid = pick("grid")
-    if grid is None:
-        grid = 81 if dim == 2 else 41
-    tol = pick("tol")
-    if tol is None:
-        tol = _TOL_DEFAULTS[command]
-
-    m_grid_raw = pick("m_grid")
-    m_grid = _parse_m_grid(m_grid_raw) if isinstance(m_grid_raw, str) else m_grid_raw
-    init_raw = pick("init")
-    init = _parse_init(init_raw) if isinstance(init_raw, str) else tuple(init_raw)
-
-    cfg = RunConfig(
-        command=command,
-        m=pick("m"),
-        alpha=pick("alpha"),
-        gamma=pick("gamma"),
-        eps=pick("eps"),
-        dim=dim,
-        a_list=list(pick("a")),
-        K=pick("K"),
-        K_cap=pick("K_cap"),
-        grid=grid,
-        tol=tol,
-        max_iter=pick("max_iter"),
-        m_grid=m_grid,
-        init=init,
-        family=pick("family"),
-        seed=pick("seed"),
-        as_json=bool(pick("json")),
-        csv_path=pick("csv"),
-    )
+    cfg = RunConfig(command=ns.command, **values)
     _validate(cfg)
     return cfg
 
 
 def _validate(cfg: RunConfig) -> None:
-    cmd = cfg.command
-    _require(cfg.tol > 0.0, "tol", f"must be positive, got {cfg.tol}")
-    _require(cfg.max_iter >= 1, "max_iter", f"must be >= 1, got {cfg.max_iter}")
-    if cmd in ("check", "frontier", "scan", "quadrature", "identities"):
-        _require(1.0 < cfg.alpha <= 2.0, "alpha", f"must lie in (1, 2], got {cfg.alpha}")
-        _require(0.0 < cfg.eps < 1.0, "eps", f"must lie in (0, 1), got {cfg.eps}")
-        _require(0.5 < cfg.gamma <= 1.0, "gamma", f"must lie in (1/2, 1], got {cfg.gamma}")
-    if cmd in ("check", "quadrature", "identities") or (cmd == "frontier" and cfg.family == "m"):
-        _require(2.0 < cfg.m < 3.0, "m", f"out of (2, 3), got {cfg.m}")
-    if cmd == "frontier":
-        _require(cfg.family in ("m", "alpha"), "family", f"must be m or alpha, got {cfg.family!r}")
-        _require(1.0 < cfg.alpha < 2.0, "alpha", f"frontier needs alpha in (1, 2), got {cfg.alpha}")
-    if cmd == "scan":
-        _require(cfg.m_grid is not None, "m_grid", "scan needs --m-grid lo:hi:count")
-        _require(1.0 < cfg.alpha < 2.0, "alpha", f"scan needs alpha in (1, 2), got {cfg.alpha}")
-        for v in cfg.m_grid or ():
-            _require(2.0 < v < 3.0, "m_grid", f"entries must lie in (2, 3), got {v}")
-    if cmd == "solve":
-        g, m, e = cfg.init
-        _require(0.5 < g <= 1.0, "init", f"gamma component out of (1/2, 1], got {g}")
-        _require(2.0 < m < 3.0, "init", f"m component out of (2, 3), got {m}")
-        _require(0.0 < e < 1.0, "init", f"e component out of (0, 1), got {e}")
-    if cmd == "quadrature":
-        _require(cfg.K > 0.0, "K", f"must be positive, got {cfg.K}")
-        _require(cfg.K_cap >= cfg.K, "K_cap", f"must be >= K, got {cfg.K_cap}")
-        # Newton's Hessian of the weight carries t**-(K+2), largest at the
-        # lower end t_lo of the grid's time axis; past float64 it overflows.
-        t_lo = default_bump(cfg.dim).support[-1][0]
-        k_max = math.floor(1e3 * (math.log(sys.float_info.max) / -math.log(t_lo) - 2.0)) / 1e3
-        _require(cfg.K_cap <= k_max, "K_cap",
-                 f"t_lo**-(K_cap+2) leaves the float64 range for t_lo = {t_lo:g}; "
-                 f"the largest admissible K is {k_max:g}, got {cfg.K_cap}")
-        _require(all(math.isfinite(a) and a >= 0.0 for a in cfg.a_list), "a",
-                 "all values must be finite and >= 0")
-        _require(cfg.grid >= 2, "grid", f"needs at least 2 nodes per axis, got {cfg.grid}")
-    if cmd == "identities":
-        _require(cfg.seed >= 0, "seed", f"must be >= 0, got {cfg.seed}")
+    """The rules that tie keys together; each key has passed its own rule."""
+    if not cfg.K_cap >= cfg.K:
+        raise UsageError(f"K_cap: must be >= K, got {cfg.K_cap}")
+    # Newton's Hessian of the weight carries the time curvature
+    # 2a K(K+1) t**-(K+2) phi (quad._grad_hess), largest at the lower end
+    # t_lo of the bump's time axis and at phi's maximum on the bump,
+    # phi(x_hi, 0) = x_hi**alpha * f(1); past float64 it overflows.
+    u = default_bump(cfg.dim)
+    t_lo, x_hi = u.support[-1][0], u.support[0][1]
+    phi_max = math.pow(x_hi, cfg.alpha) * (1.0 - math.pow(cfg.eps, cfg.m))
+    c, log_max, log_t = 2.0 * max(cfg.a) * phi_max, math.log(sys.float_info.max), -math.log(t_lo)
+
+    def headroom(K: float) -> float:  # log(float max) - log(curvature), decreasing in K
+        return log_max - (K + 2.0) * log_t - math.log(max(c * K * (K + 1.0), 1.0))
+
+    if not headroom(cfg.K_cap) >= 0.0:
+        lo, hi = 0.0, log_max / log_t
+        while hi - lo > 1e-9:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if headroom(mid) >= 0.0 else (lo, mid)
+        raise UsageError(
+            f"K_cap: 2a K(K+1) t_lo**-(K+2) phi_max leaves the float64 range for "
+            f"t_lo = {t_lo:g}, phi_max = {phi_max:g} and a = {max(cfg.a):g}; "
+            f"the largest admissible K is {math.floor(1e3 * lo) / 1e3:g}, got {cfg.K_cap}")
+    if cfg.command in ("frontier", "scan") and not cfg.alpha < 2.0:
+        raise UsageError(f"alpha: {cfg.command} needs alpha in (1, 2), got {cfg.alpha}")
+    if cfg.command == "scan" and cfg.m_grid is None:
+        raise UsageError("m_grid: scan needs --m-grid lo:hi:count")
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +276,7 @@ def _envelope(cfg: RunConfig, result: Any, verdicts: dict[str, Any]) -> dict[str
             "eps": cfg.eps,
             "dim": cfg.dim,
             "K": cfg.K,
-            "a_list": cfg.a_list,
+            "a_list": cfg.a,
         },
         "result": result,
         "verdicts": verdicts,
@@ -366,7 +299,7 @@ def _flatten(prefix: str, value: Any, out: list[str]) -> None:
 
 def _emit(cfg: RunConfig, envelope: dict[str, Any], stream=None) -> None:
     stream = stream or sys.stdout
-    if cfg.as_json:
+    if cfg.json:
         json.dump(envelope, stream, indent=2)
         stream.write("\n")
     else:
@@ -399,27 +332,22 @@ def _run_solve(cfg: RunConfig) -> tuple[int, Any, dict]:
 
 
 def _run_gamma1(cfg: RunConfig) -> tuple[int, Any, dict]:
-    try:
-        m, eps0 = solve_gamma1(tol=cfg.tol)
-    except NoSignChangeError as exc:
-        return 2, {"error": str(exc)}, {}
+    m, eps0 = solve_gamma1(tol=cfg.tol)
     return 0, {"m": m, "epsilon0": eps0,
                "theta_deg": math.degrees(2.0 * math.acos(eps0))}, {}
 
 
 def _run_check(cfg: RunConfig) -> tuple[int, Any, dict]:
-    params = WeightParams(m=cfg.m, alpha=cfg.alpha, gamma=cfg.gamma, epsilon=cfg.eps)
+    params = cfg.params
     direct = direct_feasibility(params, tol=cfg.tol)
     route = sufficient_route_check(params)
     verdicts = {k: _verdict_json(route.checks[k]) for k in ROUTE_KEYS}
     verdicts.update({k: _verdict_json(direct.checks[k]) for k in DIRECT_KEYS})
-    witness = None
-    if direct.failing_key is not None:
-        witness = direct.checks[direct.failing_key].witness
+    failing = direct.failing_key
     result = {
         "overall": direct.overall,
-        "failing_key": direct.failing_key,
-        "witness": witness,
+        "failing_key": failing,
+        "witness": None if failing is None else direct.checks[failing].witness,
         "route_overall": route.overall,
         "route_failing_key": route.failing_key,
         "m_in_core_range": params.m_in_core_range,
@@ -432,10 +360,7 @@ def _run_check(cfg: RunConfig) -> tuple[int, Any, dict]:
 def _run_frontier(cfg: RunConfig) -> tuple[int, Any, dict]:
     family = "beta_eq_m" if cfg.family == "m" else "beta_eq_alpha"
     try:
-        res = frontier_epsilon(
-            family, alpha=cfg.alpha,
-            m=cfg.m if family == "beta_eq_m" else None, tol=cfg.tol,
-        )
+        res = frontier_epsilon(family, alpha=cfg.alpha, m=cfg.m, tol=cfg.tol)
     except AllInfeasibleError as exc:
         return 1, {"error": str(exc)}, {}
     result = {
@@ -451,22 +376,18 @@ def _run_frontier(cfg: RunConfig) -> tuple[int, Any, dict]:
 
 
 def _run_scan(cfg: RunConfig) -> tuple[int, Any, dict]:
-    rows = scan_frontier(cfg.m_grid or [], alpha=cfg.alpha, tol=cfg.tol)
+    rows = scan_frontier(cfg.m_grid, alpha=cfg.alpha, tol=cfg.tol)
     table = [
         {"m": r.m, "epsilon_sup": r.epsilon_sup, "theta_deg": r.theta_deg, "error": r.error}
         for r in rows
     ]
-    if cfg.csv_path:
-        with open(cfg.csv_path, "w", newline="", encoding="utf-8") as fh:
+    if cfg.csv:
+        with open(cfg.csv, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["m", "epsilon_sup", "theta_deg"])
-            for r in rows:
-                writer.writerow([
-                    repr(r.m),
-                    "" if r.epsilon_sup is None else repr(r.epsilon_sup),
-                    "" if r.theta_deg is None else repr(r.theta_deg),
-                ])
-    return 0, {"rows": table, "csv": cfg.csv_path}, {}
+            writer.writerows(["" if v is None else repr(v)
+                              for v in (r.m, r.epsilon_sup, r.theta_deg)] for r in rows)
+    return 0, {"rows": table, "csv": cfg.csv}, {}
 
 
 def default_bump(dim: int) -> BumpFunction:
@@ -479,10 +400,9 @@ def default_bump(dim: int) -> BumpFunction:
 
 
 def _run_quadrature(cfg: RunConfig) -> tuple[int, Any, dict]:
-    params = WeightParams(m=cfg.m, alpha=cfg.alpha, gamma=cfg.gamma, epsilon=cfg.eps)
     u = default_bump(cfg.dim)
     grid = GridSpec.from_support(u, cfg.grid)
-    reports = verify_carleman(u, params, cfg.a_list, cfg.K, cfg.K_cap, grid)
+    reports = verify_carleman(u, cfg.params, cfg.a, cfg.K, cfg.K_cap, grid)
     result = [
         {
             "a": r.a,
@@ -501,27 +421,35 @@ def _run_quadrature(cfg: RunConfig) -> tuple[int, Any, dict]:
 
 
 def _run_identities(cfg: RunConfig) -> tuple[int, Any, dict]:
-    params = WeightParams(m=cfg.m, alpha=cfg.alpha, gamma=cfg.gamma, epsilon=cfg.eps)
-    results = run_identity_suite(seed=cfg.seed, params=params, dim=cfg.dim)
+    results = run_identity_suite(seed=cfg.seed, params=cfg.params, dim=cfg.dim)
     table = [{"name": r.name, "pass": r.passed, "detail": r.detail} for r in results]
     return (0 if all(r.passed for r in results) else 1), table, {}
 
 
-_DISPATCH = {
-    "solve": _run_solve,
-    "gamma1": _run_gamma1,
-    "check": _run_check,
-    "frontier": _run_frontier,
-    "scan": _run_scan,
-    "quadrature": _run_quadrature,
-    "identities": _run_identities,
+class _Command(NamedTuple):
+    run: Callable[[RunConfig], tuple[int, Any, dict]]
+    tol: Optional[float]        # the default tol; None where the run reads none
+    flags: tuple[str, ...]      # the keys it reads, besides --json and --config
+
+
+# Every subcommand.  Any flag it does not list is a usage error; config-file
+# keys are accepted by every subcommand.
+_COMMANDS = {
+    "solve": _Command(_run_solve, 1e-12, ("init", "tol", "max_iter")),
+    "gamma1": _Command(_run_gamma1, 1e-10, ("tol",)),
+    "check": _Command(_run_check, 1e-12, ("m", "alpha", "gamma", "eps", "tol")),
+    "frontier": _Command(_run_frontier, 1e-4, ("m", "alpha", "family", "tol")),
+    "scan": _Command(_run_scan, 1e-4, ("m_grid", "alpha", "tol", "csv")),
+    "quadrature": _Command(_run_quadrature, None,
+                           ("m", "alpha", "eps", "dim", "a", "K", "K_cap", "grid")),
+    "identities": _Command(_run_identities, None, ("m", "alpha", "gamma", "eps", "dim", "seed")),
 }
 
 
 def execute(cfg: RunConfig, stream=None) -> int:
     """Dispatch a validated config; writes the report and returns the exit code."""
     try:
-        code, result, verdicts = _DISPATCH[cfg.command](cfg)
+        code, result, verdicts = _COMMANDS[cfg.command].run(cfg)
     except SupportViolationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

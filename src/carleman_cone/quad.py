@@ -671,9 +671,11 @@ def carleman_integrals(
     ``exp(log_scale)``, the left integrand's Laplace scale (see
     CarlemanReport).
 
-    For the default bump the peak is resolved up to ``K`` near 430, where
-    ``t^-K`` itself leaves the float64 range; from ``K`` near 210 the ratio
-    is below that range, so ``rhs`` reads ``inf`` and ``ratio`` 0.
+    For the default bump the peak is resolved up to ``K`` near 428 (for
+    ``a = 10``; 431 for ``a = 0.1``), where Newton's time curvature
+    ``2a K(K+1) t^-(K+2) phi`` leaves the float64 range; the CLI bounds
+    ``K_cap`` there.  From ``K`` near 210 the ratio is below that range, so
+    ``rhs`` reads ``inf`` and ``ratio`` 0.
 
     When the amplitude is 0 or the bump misses ``grid.box``, both sides
     are 0 and the report passes.

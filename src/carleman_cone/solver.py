@@ -26,7 +26,6 @@ __all__ = [
     "FrontierRow",
     "NonConvergenceError",
     "SingularJacobianError",
-    "NoSignChangeError",
     "AllInfeasibleError",
     "residuals_critical",
     "solve_critical_system",
@@ -49,10 +48,6 @@ class NonConvergenceError(RuntimeError):
 
 class SingularJacobianError(RuntimeError):
     """Finite-difference Jacobian is numerically singular."""
-
-
-class NoSignChangeError(ValueError):
-    """Bisection bracket does not straddle a root."""
 
 
 class AllInfeasibleError(RuntimeError):
@@ -194,37 +189,23 @@ def _g2(p: float) -> float:
     return math.pow((17.0 - 5.0 * p) / (17.0 - p), 1.0 / p)
 
 
-def solve_gamma1(p_lo: float = 2.36, p_hi: float = 3.0, tol: float = 1e-10) -> tuple[float, float]:
+def solve_gamma1(tol: float = 1e-10) -> tuple[float, float]:
     """Bisection for the gamma = 1 corner of the critical system.
 
     Finds the crossing of ``g1(p) = sqrt((p-1)/(p+1))`` and
-    ``g2(p) = ((17-5p)/(17-p))**(1/p)`` on [p_lo, p_hi] and returns
-    ``(m, epsilon0 = g1(m))``.
+    ``g2(p) = ((17-5p)/(17-p))**(1/p)`` on [2.36, 3], where ``g1 - g2``
+    goes from negative to positive, and returns ``(m, epsilon0 = g1(m))``.
     """
-    if not (2.36 <= p_lo < p_hi <= 3.0):
-        raise ValueError(f"bracket must satisfy 2.36 <= p_lo < p_hi <= 3, got [{p_lo}, {p_hi}]")
     if not tol > 0.0:
         raise ValueError("tol must be positive")
-
-    def diff(p: float) -> float:
-        return _g1(p) - _g2(p)
-
-    d_lo, d_hi = diff(p_lo), diff(p_hi)
-    if d_lo == 0.0:
-        return p_lo, _g1(p_lo)
-    if d_hi == 0.0:
-        return p_hi, _g1(p_hi)
-    if (d_lo > 0.0) == (d_hi > 0.0):
-        raise NoSignChangeError(f"g1 - g2 has the same sign at {p_lo} and {p_hi}")
-
-    lo, hi = p_lo, p_hi
+    lo, hi = 2.36, 3.0
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        d_mid = diff(mid)
+        d_mid = _g1(mid) - _g2(mid)
         if d_mid == 0.0:
             lo = hi = mid
             break
-        if (d_mid > 0.0) == (d_lo > 0.0):
+        if d_mid < 0.0:
             lo = mid
         else:
             hi = mid

@@ -64,7 +64,7 @@ def test_criterion_1_critical_system():
 
 def test_criterion_2_gamma1_corner():
     start = time.perf_counter()
-    m, eps0 = solve_gamma1(2.36, 3.0, tol=1e-10)
+    m, eps0 = solve_gamma1(tol=1e-10)
     elapsed = time.perf_counter() - start
     ok = abs(m - 2.39) <= 0.02 and abs(eps0 - 0.64) <= 0.01 and elapsed < 1.0
     report(2, "gamma=1 corner", ok, f"m={m:.6f} eps0={eps0:.6f}, runtime {elapsed:.3f}s")

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -6,6 +7,23 @@ import math
 import pytest
 
 from carleman_cone.cli import RunConfig, UsageError, execute, main, parse_config
+
+
+COMMANDS = ("solve", "gamma1", "check", "frontier", "scan", "quadrature", "identities")
+
+# One in-domain value per config key, and one out-of-domain value per key
+# that has a domain of its own.
+IN_DOMAIN = (
+    ("m", "2.5"), ("alpha", "1.99"), ("gamma", "0.9"), ("eps", "0.5"), ("dim", "2"),
+    ("a", "0.1,1"), ("K", "5"), ("K_cap", "10"), ("grid", "11"), ("tol", "1e-3"),
+    ("max_iter", "50"), ("m_grid", "2.1:2.9:3"), ("init", "0.8,2.45,0.65"),
+    ("family", "alpha"), ("seed", "7"), ("json", "true"), ("csv", "out.csv"),
+)
+OUT_OF_DOMAIN = (
+    ("K", "-1"), ("seed", "-1"), ("grid", "1"), ("a", "inf"), ("m", "3.5"), ("eps", "1.5"),
+    ("gamma", "0.4"), ("max_iter", "0"), ("tol", "-1"), ("dim", "4"), ("family", "beta"),
+    ("init", "0.4,2.5,0.6"), ("m_grid", "1:5:3"),
+)
 
 
 def run(argv):
@@ -57,7 +75,24 @@ class TestParseConfig:
 
     def test_config_keys_accepted_by_every_subcommand(self):
         cfg = parse_config(["gamma1"], file_text="m = 2.5\ncsv = out.csv\nK = 5")
-        assert cfg.m == 2.5 and cfg.csv_path == "out.csv" and cfg.K == 5.0
+        assert cfg.m == 2.5 and cfg.csv == "out.csv" and cfg.K == 5.0
+        # one file setting every key in its domain serves all seven subcommands
+        keys = {key for key, _ in IN_DOMAIN}
+        assert keys == {f.name for f in dataclasses.fields(RunConfig)} - {"command"}
+        text = "\n".join(f"{key} = {value}" for key, value in IN_DOMAIN)
+        for command in COMMANDS:
+            cfg = parse_config([command], file_text=text)
+            assert (cfg.command, cfg.grid, cfg.a, cfg.tol) == (command, 11, [0.1, 1.0], 1e-3)
+            assert cfg.m_grid == pytest.approx([2.1, 2.5, 2.9])
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize("key, value", OUT_OF_DOMAIN)
+    def test_every_value_checked_by_every_subcommand(self, command, key, value, tmp_path,
+                                                     capsys):
+        path = tmp_path / "run.cfg"
+        path.write_text(f"{key} = {value}\n", encoding="utf-8")
+        assert main([command, "--config", str(path)]) == 3
+        assert f"{key}:" in capsys.readouterr().err
 
     def test_missing_subcommand(self):
         with pytest.raises(UsageError):
@@ -75,14 +110,14 @@ class TestParseConfig:
 
     def test_repeatable_a(self):
         cfg = parse_config(["quadrature", "--a", "0.5", "--a", "2.0"])
-        assert cfg.a_list == [0.5, 2.0]
+        assert cfg.a == [0.5, 2.0]
 
     def test_parser_is_shared_and_keeps_no_state(self, capsys):
         from carleman_cone.cli import _build_parser
 
         assert _build_parser() is _build_parser()
-        assert parse_config(["quadrature", "--a", "1", "--a", "2"]).a_list == [1.0, 2.0]
-        assert parse_config(["quadrature"]).a_list == [0.1, 1.0, 10.0]
+        assert parse_config(["quadrature", "--a", "1", "--a", "2"]).a == [1.0, 2.0]
+        assert parse_config(["quadrature"]).a == [0.1, 1.0, 10.0]
         with pytest.raises(UsageError):
             parse_config(["solve", "--K", "5"])
         assert main(["solve", "--K", "5"]) == 3
@@ -103,6 +138,11 @@ class TestParseConfig:
     def test_config_file_unknown_key(self):
         with pytest.raises(UsageError, match="unknown config key"):
             parse_config(["check"], file_text="nope = 3")
+
+    def test_unreadable_config_exits_3(self, tmp_path, capsys):
+        for path in (tmp_path / "missing.cfg", tmp_path):
+            assert main(["gamma1", "--config", str(path)]) == 3
+            assert "usage error: config:" in capsys.readouterr().err
 
     def test_main_exit_code_3(self, capsys):
         assert main(["frontier", "--m", "5"]) == 3
@@ -240,22 +280,31 @@ class TestQuadratureCommand:
         code, _ = run(["quadrature", "--grid", "10"])
         assert code == 0
 
-    # at K = 439 the weight's curvature still overflows in numpy products
-    # (RuntimeWarning; the report holds inf and nan) but no longer raises
+    # from K near 320 the log b curvature of Newton's start overflows in
+    # numpy products (RuntimeWarning) though the report stays finite
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_K_cap_past_float64_range_exits_3(self, capsys):
-        # the default bump's time axis starts at t_lo = 0.2, and
-        # 0.2**-(K+2) leaves the float64 range just above K = 439.012
+        # Newton's time curvature 2a K(K+1) t_lo**-(K+2) phi_max, with
+        # t_lo = 0.2, phi_max = phi(4.8, 0) = 16.457 and a = 10 (the default
+        # list's largest), leaves the float64 range just above K = 427.88
         for dim in ("2", "3"):
-            cfg = parse_config(["quadrature", "--dim", dim, "--K", "439", "--K-cap", "439.012"])
-            assert cfg.K_cap == 439.012
-            with pytest.raises(UsageError, match=r"largest admissible K is 439\.012"):
-                parse_config(["quadrature", "--dim", dim, "--K", "60", "--K-cap", "439.013"])
+            cfg = parse_config(["quadrature", "--dim", dim, "--K", "427", "--K-cap", "427.88"])
+            assert cfg.K_cap == 427.88
+            with pytest.raises(UsageError, match=r"largest admissible K is 427\.88,"):
+                parse_config(["quadrature", "--dim", dim, "--K", "60", "--K-cap", "427.881"])
+        # with a = 0 only t_lo**-(K+2) itself bounds K
+        assert parse_config(["quadrature", "--a", "0", "--K-cap", "439.012"]).K_cap == 439.012
+        with pytest.raises(UsageError, match=r"largest admissible K is 439\.012,"):
+            parse_config(["quadrature", "--a", "0", "--K-cap", "439.013"])
         assert main(["quadrature", "--K", "440", "--K-cap", "480"]) == 3
         assert "K_cap" in capsys.readouterr().err
-        # just inside the range the run completes instead of raising
-        code, _ = run(["quadrature", "--K", "439", "--K-cap", "439", "--grid", "21", "--a", "1"])
-        assert code in (0, 1)
+        # at the bound the peak is still resolved: lhs is the one of K = 400
+        lhs = {}
+        for K in ("400", "427.88"):
+            code, doc = run_json(["quadrature", "--K", K, "--K-cap", K, "--grid", "21", "--a", "10"])
+            assert code in (0, 1)
+            lhs[K] = doc["result"][0]["lhs"]
+        assert lhs["427.88"] == pytest.approx(lhs["400"], rel=1e-6)
 
 
 class TestIdentitiesCommand:

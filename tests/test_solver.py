@@ -6,7 +6,6 @@ import pytest
 from carleman_cone.conditions import direct_feasibility
 from carleman_cone.solver import (
     AllInfeasibleError,
-    NoSignChangeError,
     NonConvergenceError,
     frontier_epsilon,
     residuals_critical,
@@ -110,7 +109,7 @@ class TestSolveCriticalSystem:
 
 class TestGamma1:
     def test_corner_values(self):
-        m, eps0 = solve_gamma1(2.36, 3.0, tol=1e-10)
+        m, eps0 = solve_gamma1(tol=1e-10)
         assert m == pytest.approx(2.39, abs=0.02)
         assert eps0 == pytest.approx(0.64, abs=0.01)
 
@@ -123,14 +122,6 @@ class TestGamma1:
         assert g1 == pytest.approx(0.6362, abs=1e-4)
         assert g2 == pytest.approx(0.6450, abs=1e-4)
         assert g1 - g2 < 0
-
-    def test_no_sign_change(self):
-        with pytest.raises(NoSignChangeError):
-            solve_gamma1(2.36, 2.37)
-
-    def test_invalid_bracket(self):
-        with pytest.raises(ValueError):
-            solve_gamma1(2.0, 3.0)
 
 
 class TestFrontier:
