@@ -300,8 +300,7 @@ def _flatten(prefix: str, value: Any, out: list[str]) -> None:
 def _emit(cfg: RunConfig, envelope: dict[str, Any], stream=None) -> None:
     stream = stream or sys.stdout
     if cfg.json:
-        json.dump(envelope, stream, indent=2)
-        stream.write("\n")
+        stream.write(json.dumps(envelope, indent=2) + "\n")
     else:
         lines: list[str] = []
         _flatten("", {"command": envelope["command"],

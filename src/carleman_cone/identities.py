@@ -9,6 +9,7 @@ are reproducible; the CLI exposes this as the ``identities`` subcommand.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -198,7 +199,14 @@ def _hessian_correction_psd(params: WeightParams, rng: np.random.Generator, dim:
     )
 
 
+@functools.cache
 def _boundary_law() -> IdentityResult:
+    """The sign of ``l1(eps)`` against the boundary law on a fixed 20x20 (m, eps) grid.
+
+    The grid reads no input (not the seed, the params or ``dim``), so it is
+    computed on the first call in a process and that frozen result served
+    to every later one.
+    """
     ok = True
     detail = ""
     for m in np.linspace(2.05, 2.95, 20):

@@ -420,14 +420,16 @@ def _exponent_value(p: _Point, s, params, a, K) -> float:
             + log_weight(p.x[:dim], float(p.x[dim]), a, K, params))
 
 
-def _grad_hess(p: _Point, s, modes, params, a, K):
+def _grad_hess(p: _Point, s, modes, params, a, K, hessian=True):
     """Gradient and Hessian of ``F = L + 2 log B`` in Newton's coordinates ``y``.
 
     An axis with ``modes`` +1 (-1) is the log of its distance to the lower
     (upper) edge, the others the coordinate itself; ``jac = dx/dy`` is
     returned too.  The ``log b`` terms are formed in ``y`` directly: in
     ``x`` their curvature ``~ s^2 / e^3`` leaves the float64 range once the
-    peak is within ~1e-103 of an edge (K near 300 for the default bump).
+    peak is within ~1e-103 of an edge (K near 300 for the default bump), so
+    a caller on such a point in ``x`` asks for the gradient alone
+    (``hessian=False``), whose ``~ s^2 / e^2`` stays in range.
     """
     log_axis = modes != 0
     jac = np.where(modes > 0, p.lo_gap, np.where(modes < 0, -p.hi_gap, 1.0))
@@ -435,25 +437,26 @@ def _grad_hess(p: _Point, s, modes, params, a, K):
     diff = p.hi_gap - p.lo_gap
     per_e = jac / e  # 1/hi_gap or -1/lo_gap on a log axis
     first = s * s * diff / e * per_e  # jac (log b)'
-    grad = 2.0 * first
-    hess = np.diag(2.0 * (-2.0 * s * s * (e + diff * diff) / e * per_e * per_e
-                          + np.where(log_axis, first, 0.0)))
     dim = len(s) - 1
     x, t = p.x[:dim], float(p.x[dim])
     lam = math.pow(t, -K) - 1.0
     dlam = -K * math.pow(t, -K - 1.0)
-    d2lam = K * (K + 1.0) * math.pow(t, -K - 2.0)
     phi = phi_eval(x, params)
     gphi = grad_phi(x, params)
     rk = float(x @ x) + K
     g_L = np.append(2.0 * a * lam * gphi - x / (4.0 * t),
                     2.0 * a * dlam * phi + rk / (8.0 * t * t))
+    grad = 2.0 * first + jac * g_L
+    if not hessian:
+        return grad
+    hess = np.diag(2.0 * (-2.0 * s * s * (e + diff * diff) / e * per_e * per_e
+                          + np.where(log_axis, first, 0.0)))
+    d2lam = K * (K + 1.0) * math.pow(t, -K - 2.0)
     H_L = np.empty((dim + 1, dim + 1))
     H_L[:dim, :dim] = 2.0 * a * lam * hess_phi(x, params) - np.eye(dim) / (4.0 * t)
     H_L[:dim, dim] = H_L[dim, :dim] = 2.0 * a * dlam * gphi + x / (4.0 * t * t)
     H_L[dim, dim] = 2.0 * a * d2lam * phi - rk / (4.0 * t ** 3)
     # d2F/dy2 = jac^2 d2F/dx2 + dF/dx d2x/dy2, and d2x/dy2 = jac on a log axis
-    grad += jac * g_L
     hess += jac[:, None] * H_L * jac[None, :] + np.diag(np.where(log_axis, jac * g_L, 0.0))
     return grad, hess, jac
 
@@ -634,7 +637,7 @@ def _newton_start(lo, hi, s, box_lo, box_hi, params: WeightParams, a, K):
     if not np.any(modes):
         return point, modes
     for _ in range(2):
-        g = _grad_hess(point, s, np.zeros_like(modes), params, a, K)[0]
+        g = _grad_hess(point, s, np.zeros_like(modes), params, a, K, hessian=False)
         x, lo_gap, hi_gap = point.x.copy(), point.lo_gap.copy(), point.hi_gap.copy()
         for i in np.nonzero(np.isfinite(g) & (modes * g < 0.0))[0]:
             floor = box_lo[i] - lo[i] if modes[i] > 0 else hi[i] - box_hi[i]

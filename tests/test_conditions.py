@@ -131,9 +131,9 @@ class TestBuildL:
                 law = l1_boundary_law(p)
                 if abs(law) < 1e-10:
                     continue
-                val = build_l("l1", p).eval(float(eps))
-                scale = build_l("l1", p).max_abs_coefficient()
-                if abs(val) > 1e-12 * scale:
+                l1 = build_l("l1", p)
+                val = l1.eval(float(eps))
+                if abs(val) > 1e-12 * l1.max_abs_coefficient():
                     assert (val > 0) == (law > 0)
 
     def test_unknown_expression(self):

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -68,3 +73,49 @@ def test_a_nan_from_the_evaluator_fails_the_check(monkeypatch, name, checks):
     monkeypatch.setattr(identities, name, first_nan)
     for check in checks:
         assert not check(DEFAULT_PARAMS, np.random.default_rng(0), 2).passed, check.__name__
+
+
+@pytest.fixture
+def fresh_boundary_law():
+    """An empty ``_boundary_law`` cache, emptied again afterwards."""
+    identities._boundary_law.cache_clear()
+    yield
+    identities._boundary_law.cache_clear()
+
+
+def test_boundary_law_grid_is_built_once_per_process(monkeypatch, fresh_boundary_law):
+    built = []
+    real = identities.conditions.build_l
+
+    def counting(name, params):
+        built.append(name)
+        return real(name, params)
+
+    monkeypatch.setattr(identities.conditions, "build_l", counting)
+    first = run_identity_suite(seed=0)
+    second = run_identity_suite(seed=1, dim=3)
+    assert built.count("l1") == 400
+    assert first[-1] is second[-1]
+    assert first[-1].passed and first[-1].detail == "20x20 grid consistent"
+
+
+def test_importing_the_cli_builds_no_grid_cell():
+    code = ("import sys\n"
+            "calls = []\n"
+            "sys.setprofile(lambda frame, event, arg: calls.append(frame.f_code.co_name)\n"
+            "               if event == 'call' and frame.f_code.co_name == 'build_l' else None)\n"
+            "import carleman_cone.cli\n"
+            "sys.setprofile(None)\n"
+            "print(len(calls))\n")
+    src = str(Path(identities.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "0"
+
+
+def test_a_flipped_boundary_law_fails_the_row(monkeypatch, fresh_boundary_law):
+    real = identities.conditions.l1_boundary_law
+    monkeypatch.setattr(identities.conditions, "l1_boundary_law", lambda params: -real(params))
+    row = run_identity_suite(seed=0)[-1]
+    assert row.name == "l1_boundary_sign_law"
+    assert not row.passed and row.detail.startswith("sign mismatch")

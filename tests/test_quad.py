@@ -387,6 +387,15 @@ class TestPeakResolvingRule:
         assert rep.passed
         assert len(calls) <= 16
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_peak_within_1e_103_of_an_edge_raises_no_warning(self, dim):
+        # at K = 400 the balance start lands ~1e-128 from the time edge, where
+        # log b's curvature in plain coordinates, ~s^2/e^3, leaves float64
+        u = BUMP if dim == 2 else BumpFunction(1.0, (4.0, 0.0, 0.0, 0.5), (0.8, 0.8, 0.8, 0.3))
+        (rep,) = verify_carleman(u, PARAMS, [1.0], 400.0, 400.0, GridSpec.from_support(u, 21))
+        assert rep.passed and math.isfinite(rep.lhs) and rep.lhs > 0.0
+
 
 class TestStream:
     """The blocked kernel equals the dense product it stands for."""
