@@ -331,7 +331,10 @@ def _run_solve(cfg: RunConfig) -> tuple[int, Any, dict]:
 
 
 def _run_gamma1(cfg: RunConfig) -> tuple[int, Any, dict]:
-    m, eps0 = solve_gamma1(tol=cfg.tol)
+    try:
+        m, eps0 = solve_gamma1(tol=cfg.tol)
+    except (NonConvergenceError, SingularJacobianError) as exc:
+        return 2, {"error": str(exc)}, {}
     return 0, {"m": m, "epsilon0": eps0,
                "theta_deg": math.degrees(2.0 * math.acos(eps0))}, {}
 

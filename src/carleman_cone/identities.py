@@ -17,7 +17,7 @@ import numpy as np
 
 from . import conditions
 from .algebra import PowerSum
-from .weights import WeightParams, _radius, grad_phi, hess_phi, phi_eval
+from .weights import WeightParams, _profile_derivs, _radius, grad_phi, hess_phi, phi_eval
 
 __all__ = ["IdentityResult", "run_identity_suite", "sample_cone_points"]
 
@@ -188,8 +188,7 @@ def _hessian_correction_psd(params: WeightParams, rng: np.random.Generator, dim:
     a = params.alpha
     r = np.linalg.norm(pts, axis=1)
     h = pts[:, 0] / r
-    f = np.power(h, params.m) - math.pow(params.epsilon, params.m)
-    fp = params.m * np.power(h, params.m - 1.0)
+    f, fp, _ = _profile_derivs(h, params)
     # B = r^(2-alpha) * hess - (alpha f - h f') I, one (dim, dim) matrix per point
     H = np.moveaxis(hess_phi(pts.T, params), -1, 0)
     B = np.power(r, 2.0 - a)[:, None, None] * H - (a * f - h * fp)[:, None, None] * np.eye(dim)

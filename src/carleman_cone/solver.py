@@ -1,18 +1,18 @@
 """Root finding and frontier search over the weight-family parameters.
 
-Three solvers live here: a damped Newton iteration for the critical
-three-equation system linking (gamma, m, epsilon0); a bisection for the
-gamma = 1 corner of that system; and a feasibility-frontier bisection that
-finds the supremum opening parameter epsilon for which the direct
-certificate still passes.  A small utility iterates the uniqueness horizon
-``T_{k+1} = (1 - T_k) T_1 + T_k`` toward 1.
+Two solvers live here: one damped Newton iteration with a closed-form
+Jacobian, for the critical three-equation system linking (gamma, m,
+epsilon0) and for its gamma = 1 corner; and a feasibility-frontier
+bisection that finds the supremum opening parameter epsilon for which the
+direct certificate still passes.  A small utility iterates the uniqueness
+horizon ``T_{k+1} = (1 - T_k) T_1 + T_k`` toward 1.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -37,7 +37,6 @@ __all__ = [
 
 DEFAULT_INIT = (0.80, 2.45, 0.65)
 
-_FD_STEP = 1e-7
 _MAX_HALVINGS = 30
 _COND_LIMIT = 1e14
 
@@ -47,7 +46,7 @@ class NonConvergenceError(RuntimeError):
 
 
 class SingularJacobianError(RuntimeError):
-    """Finite-difference Jacobian is numerically singular."""
+    """Newton's Jacobian is numerically singular."""
 
 
 class AllInfeasibleError(RuntimeError):
@@ -108,36 +107,43 @@ def residuals_critical(gamma: float, m: float, e: float) -> tuple[float, float, 
     return r1, r2, r3
 
 
-def _residual_vec(x: np.ndarray) -> np.ndarray:
-    return np.array(residuals_critical(x[0], x[1], x[2]))
+def _jacobian_critical(gamma: float, m: float, e: float) -> np.ndarray:
+    """Closed-form Jacobian of ``residuals_critical`` in (gamma, m, e)."""
+    g2 = gamma * gamma
+    q = g2 * (m - 1.0) / 4.0
+    em = math.pow(e, m)
+    return np.array([
+        [8.0 - 8.0 * gamma + g2 * gamma * (m - 1.0), g2 * g2 / 4.0, 0.0],
+        [0.0, 2.0 / ((m + 1.0) * (m + 1.0)), -2.0 * e],
+        [-0.5 * gamma * (m - 1.0) * (1.0 - em),
+         -0.25 * g2 * (1.0 - em) - (4.0 - q) * em * math.log(e) - 1.0,
+         -(4.0 - q) * m * em / e],
+    ])
 
 
-def solve_critical_system(
-    init: Sequence[float] = DEFAULT_INIT,
-    tol: float = 1e-12,
-    max_iter: int = 100,
-) -> SolverResult:
-    """Damped Newton on the critical system with a finite-difference Jacobian.
+def _newton(residual: Callable[[np.ndarray], np.ndarray],
+            jacobian: Callable[[np.ndarray], np.ndarray],
+            init: Sequence[float], tol: float, max_iter: int) -> tuple[np.ndarray, int]:
+    """Damped Newton; returns the root and the number of steps taken.
 
     The step is halved (up to 30 times) whenever the residual norm fails to
-    decrease or an iterate leaves the parameter domain.  Convergence means
-    ``max |R_i| <= tol``, re-checked on the returned point; anything else
-    raises NonConvergenceError rather than silently returning a non-root.
+    decrease or ``residual`` raises ValueError (an iterate left the domain).
+    Convergence means ``max |R_i| <= tol``; anything else raises
+    NonConvergenceError rather than silently returning a non-root.
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
     x = np.array(init, dtype=float)
-    r = _residual_vec(x)
-
-    for iteration in range(1, max_iter + 1):
-        if np.max(np.abs(r)) <= tol:
-            return _solver_result(x, r, iteration - 1)
-
-        jac = np.empty((3, 3))
-        for j in range(3):
-            xp = x.copy()
-            xp[j] += _FD_STEP
-            jac[:, j] = (_residual_vec(xp) - r) / _FD_STEP
+    r = residual(x)
+    for steps in range(max_iter + 1):
+        cur = np.max(np.abs(r))
+        if cur <= tol:
+            return x, steps
+        if steps == max_iter:
+            raise NonConvergenceError(
+                f"no convergence after {max_iter} iterations (max residual {cur:.3g})"
+            )
+        jac = jacobian(x)
         if np.linalg.cond(jac) > _COND_LIMIT:
             raise SingularJacobianError(
                 f"Jacobian condition number exceeds {_COND_LIMIT:g} at {tuple(x)}"
@@ -145,72 +151,44 @@ def solve_critical_system(
         step = np.linalg.solve(jac, -r)
 
         lam = 1.0
-        cur = np.max(np.abs(r))
         for _ in range(_MAX_HALVINGS + 1):
             cand = x + lam * step
             try:
-                r_cand = _residual_vec(cand)
+                r_cand = residual(cand)
             except ValueError:
                 lam *= 0.5
                 continue
-            if np.max(np.abs(r_cand)) < cur or np.max(np.abs(r_cand)) <= tol:
+            if np.max(np.abs(r_cand)) < cur:
                 break
             lam *= 0.5
         else:
             raise NonConvergenceError("damping exhausted without residual decrease")
         x, r = cand, r_cand
 
-    if np.max(np.abs(r)) <= tol:
-        return _solver_result(x, r, max_iter)
-    raise NonConvergenceError(
-        f"no convergence after {max_iter} iterations (max residual {np.max(np.abs(r)):.3g})"
-    )
 
-
-def _solver_result(x: np.ndarray, r: np.ndarray, iterations: int) -> SolverResult:
+def solve_critical_system(
+    init: Sequence[float] = DEFAULT_INIT,
+    tol: float = 1e-12,
+    max_iter: int = 100,
+) -> SolverResult:
+    """Damped Newton on the critical system with its closed-form Jacobian."""
+    x, steps = _newton(lambda x: np.array(residuals_critical(*x)),
+                       lambda x: _jacobian_critical(*x), init, tol, max_iter)
     gamma, m, e = (float(v) for v in x)
-    res = residuals_critical(gamma, m, e)
-    return SolverResult(
-        gamma=gamma,
-        m=m,
-        epsilon0=e,
-        theta_deg=math.degrees(2.0 * math.acos(e)),
-        residuals=res,
-        iterations=iterations,
-        converged=True,
-    )
-
-
-def _g1(p: float) -> float:
-    return math.sqrt((p - 1.0) / (p + 1.0))
-
-
-def _g2(p: float) -> float:
-    return math.pow((17.0 - 5.0 * p) / (17.0 - p), 1.0 / p)
+    return SolverResult(gamma=gamma, m=m, epsilon0=e, theta_deg=math.degrees(2.0 * math.acos(e)),
+                        residuals=residuals_critical(gamma, m, e), iterations=steps,
+                        converged=True)
 
 
 def solve_gamma1(tol: float = 1e-10) -> tuple[float, float]:
-    """Bisection for the gamma = 1 corner of the critical system.
+    """The gamma = 1 corner: damped Newton on ``R2 = R3 = 0`` at gamma = 1.
 
-    Finds the crossing of ``g1(p) = sqrt((p-1)/(p+1))`` and
-    ``g2(p) = ((17-5p)/(17-p))**(1/p)`` on [2.36, 3], where ``g1 - g2``
-    goes from negative to positive, and returns ``(m, epsilon0 = g1(m))``.
+    Returns ``(m, epsilon0)`` with both residuals at most ``tol``; at the
+    root ``epsilon0 = sqrt((m-1)/(m+1))`` and ``epsilon0**m = (17-5m)/(17-m)``.
     """
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
-    lo, hi = 2.36, 3.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        d_mid = _g1(mid) - _g2(mid)
-        if d_mid == 0.0:
-            lo = hi = mid
-            break
-        if d_mid < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    m = 0.5 * (lo + hi)
-    return m, _g1(m)
+    x, _ = _newton(lambda x: np.array(residuals_critical(1.0, *x)[1:]),
+                   lambda x: _jacobian_critical(1.0, *x)[1:, 1:], DEFAULT_INIT[1:], tol, 100)
+    return float(x[0]), float(x[1])
 
 
 def frontier_epsilon(
@@ -253,9 +231,7 @@ def frontier_epsilon(
         raise AllInfeasibleError(f"infeasible already at epsilon = {lo}")
     if feasible(hi):
         # Frontier sits at (or beyond) the top of the probed range.
-        bracket = Interval(hi, hi)
-        return FrontierResult(family, alpha, hi, bracket, evaluations,
-                              m=m if family == "beta_eq_m" else None)
+        lo = hi
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if feasible(mid):

@@ -188,6 +188,11 @@ class TestGamma1Command:
         assert doc["result"]["m"] == pytest.approx(2.39, abs=0.02)
         assert doc["result"]["epsilon0"] == pytest.approx(0.64, abs=0.01)
 
+    def test_tol_below_float_floor_exits_2(self):
+        code, doc = run_json(["gamma1", "--tol", "1e-17"])
+        assert code == 2
+        assert "error" in doc["result"]
+
 
 class TestCheckCommand:
     def test_feasible_exit_0(self):

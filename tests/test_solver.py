@@ -7,6 +7,7 @@ from carleman_cone.conditions import direct_feasibility
 from carleman_cone.solver import (
     AllInfeasibleError,
     NonConvergenceError,
+    _jacobian_critical,
     frontier_epsilon,
     residuals_critical,
     scan_frontier,
@@ -45,6 +46,34 @@ def elimination_bisection_oracle(m_lo=2.4, m_hi=2.5, tol=1e-14):
     q = 4.0 - m / (1.0 - e ** m)
     gamma = 2.0 * math.sqrt(q / (m - 1.0))
     return gamma, m, e
+
+
+def mp_residuals(gamma, m, e):
+    """The critical system's residuals, in the arithmetic of the arguments (mpmath)."""
+    q = gamma ** 2 * (m - 1) / 4
+    return [4 * (2 * gamma - 1) - gamma ** 2 * (4 - q),
+            (m - 1) / (m + 1) - e ** 2,
+            (4 - q - m) - (4 - q) * e ** m]
+
+
+class TestJacobian:
+    @pytest.mark.parametrize("point", [
+        (0.80, 2.45, 0.65), (1.0, 2.39, 0.64), (1.0, 2.1, 0.3),
+        (0.6, 2.9, 0.9), (0.95, 2.5, 0.5), (0.7, 2.2, 0.1),
+    ])
+    def test_matches_mpmath_derivatives(self, point):
+        mpmath = pytest.importorskip("mpmath")
+        jac = _jacobian_critical(*point)
+        with mpmath.workdps(30):
+            x = [mpmath.mpf(v) for v in point]
+            for j in range(3):
+                for i in range(3):
+                    def r_i(t, i=i, j=j):
+                        y = list(x)
+                        y[j] = t
+                        return mp_residuals(*y)[i]
+                    ref = float(mpmath.diff(r_i, x[j]))
+                    assert abs(jac[i, j] - ref) <= 1e-12 * abs(ref), (i, j, jac[i, j], ref)
 
 
 class TestResiduals:
@@ -106,12 +135,33 @@ class TestSolveCriticalSystem:
         with pytest.raises(NonConvergenceError):
             solve_critical_system(init=(0.99, 2.9, 0.7), max_iter=1)
 
+    def test_root_matches_mpmath_findroot(self):
+        mpmath = pytest.importorskip("mpmath")
+        res = solve_critical_system()
+        with mpmath.workdps(50):
+            root = mpmath.findroot(mp_residuals, (0.80, 2.45, 0.65))
+        for got, ref in zip((res.gamma, res.m, res.epsilon0), root):
+            assert abs(got - float(ref)) <= 1e-13
+
 
 class TestGamma1:
     def test_corner_values(self):
         m, eps0 = solve_gamma1(tol=1e-10)
         assert m == pytest.approx(2.39, abs=0.02)
         assert eps0 == pytest.approx(0.64, abs=0.01)
+
+    def test_root_matches_mpmath_findroot(self):
+        mpmath = pytest.importorskip("mpmath")
+        m, eps0 = solve_gamma1()
+        with mpmath.workdps(50):
+            root = mpmath.findroot(lambda p, e: mp_residuals(mpmath.mpf(1), p, e)[1:],
+                                   (2.45, 0.65))
+        assert abs(m - float(root[0])) <= 1e-13
+        assert abs(eps0 - float(root[1])) <= 1e-13
+
+    def test_tol_below_float_floor_raises(self):
+        with pytest.raises(NonConvergenceError):
+            solve_gamma1(tol=1e-17)
 
     def test_g1_endpoint(self):
         assert math.sqrt((3.0 - 1.0) / (3.0 + 1.0)) == pytest.approx(0.70711, abs=1e-5)
