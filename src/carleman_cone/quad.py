@@ -703,7 +703,7 @@ def carleman_integrals(
     # sqrt of the unit-amplitude left payload over u^2 at the peak
     slopes = _log_b_slope(p.lo_gap[:dim], p.hi_gap[:dim], s[:dim])
     scale = math.hypot(1.0, *slopes)
-    log_scale = peak.value + 2.0 * math.log(scale) + float(np.sum(np.log(peak.sigma)))
+    log_scale = float(peak.value + 2.0 * math.log(scale) + np.sum(np.log(peak.sigma)))
 
     def drop(axis, g):
         """The exponent's fall along the axis at offsets g from the peak."""

@@ -162,7 +162,8 @@ def _newton(residual: Callable[[np.ndarray], np.ndarray],
                 break
             lam *= 0.5
         else:
-            raise NonConvergenceError("damping exhausted without residual decrease")
+            raise NonConvergenceError(f"max residual stalled at {cur:.3g}, above tol {tol:.3g}: "
+                                      "damping exhausted without residual decrease")
         x, r = cand, r_cand
 
 

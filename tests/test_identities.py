@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +38,14 @@ def test_pointwise_check_holds_for_every_seed(check, dim):
     assert failed == []
 
 
-def test_suite_evaluates_the_weight_on_stacks(monkeypatch):
+# the boundary law (m-1) - (m+1) eps^2 is positive at the defaults, negative
+# at the second set and zero to rounding at the third
+@pytest.mark.parametrize("params", [
+    DEFAULT_PARAMS,
+    replace(DEFAULT_PARAMS, m=2.9, epsilon=0.95),
+    replace(DEFAULT_PARAMS, m=2.5, epsilon=0.6546536707079771),
+], ids=["law_positive", "law_negative", "law_knife_edge"])
+def test_suite_evaluates_the_weight_on_stacks(monkeypatch, params):
     # each check passes all its points and stencil offsets in one call per
     # evaluator, so the count does not grow with the number of points
     calls = []
@@ -51,7 +59,8 @@ def test_suite_evaluates_the_weight_on_stacks(monkeypatch):
         monkeypatch.setattr(identities, name, counted)
     for dim in (2, 3):
         calls.clear()
-        assert all(r.passed for r in run_identity_suite(seed=0, dim=dim))
+        results = run_identity_suite(seed=0, params=params, dim=dim)
+        assert len(results) == 10 and all(r.passed for r in results)
         assert 0 < len(calls) <= 50
 
 
@@ -75,30 +84,6 @@ def test_a_nan_from_the_evaluator_fails_the_check(monkeypatch, name, checks):
         assert not check(DEFAULT_PARAMS, np.random.default_rng(0), 2).passed, check.__name__
 
 
-@pytest.fixture
-def fresh_boundary_law():
-    """An empty ``_boundary_law`` cache, emptied again afterwards."""
-    identities._boundary_law.cache_clear()
-    yield
-    identities._boundary_law.cache_clear()
-
-
-def test_boundary_law_grid_is_built_once_per_process(monkeypatch, fresh_boundary_law):
-    built = []
-    real = identities.conditions.build_l
-
-    def counting(name, params):
-        built.append(name)
-        return real(name, params)
-
-    monkeypatch.setattr(identities.conditions, "build_l", counting)
-    first = run_identity_suite(seed=0)
-    second = run_identity_suite(seed=1, dim=3)
-    assert built.count("l1") == 400
-    assert first[-1] is second[-1]
-    assert first[-1].passed and first[-1].detail == "20x20 grid consistent"
-
-
 def test_importing_the_cli_builds_no_grid_cell():
     code = ("import sys\n"
             "calls = []\n"
@@ -113,7 +98,7 @@ def test_importing_the_cli_builds_no_grid_cell():
     assert out.stdout.strip() == "0"
 
 
-def test_a_flipped_boundary_law_fails_the_row(monkeypatch, fresh_boundary_law):
+def test_a_flipped_boundary_law_fails_the_row(monkeypatch):
     real = identities.conditions.l1_boundary_law
     monkeypatch.setattr(identities.conditions, "l1_boundary_law", lambda params: -real(params))
     row = run_identity_suite(seed=0)[-1]

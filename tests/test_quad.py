@@ -335,6 +335,7 @@ class TestPeakResolvingRule:
         tripled = BumpFunction(amplitude=3.0, center=BUMP.center, radii=BUMP.radii)
         for K in (0.5, 60.0):  # at K = 60, log 3 is below the spacing of log_scale
             base = carleman_integrals(BUMP, PARAMS, 1.0, K, grid)
+            assert type(base.log_scale) is float
             assert carleman_integrals(tripled, PARAMS, 1.0, K, grid).log_scale == base.log_scale
 
     def test_clipped_box_side_without_room_gets_every_node(self, monkeypatch):

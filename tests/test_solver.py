@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -160,8 +161,11 @@ class TestGamma1:
         assert abs(eps0 - float(root[1])) <= 1e-13
 
     def test_tol_below_float_floor_raises(self):
-        with pytest.raises(NonConvergenceError):
+        # the message names the residual Newton stalled at and the tol it missed
+        with pytest.raises(NonConvergenceError) as info:
             solve_gamma1(tol=1e-17)
+        stalled = re.search(r"max residual stalled at (\S+), above tol 1e-17", str(info.value))
+        assert stalled and 1e-17 < float(stalled.group(1)) < 1e-15
 
     def test_g1_endpoint(self):
         assert math.sqrt((3.0 - 1.0) / (3.0 + 1.0)) == pytest.approx(0.70711, abs=1e-5)
