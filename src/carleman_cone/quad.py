@@ -3,7 +3,8 @@
 The test functions are tensor products of the classic smooth bump
 ``b(z) = exp(-1/(1-z^2))`` on ``|z| < 1``, so value, gradient, Laplacian and
 time derivative all have closed forms (``_fields_on_grid`` evaluates them on
-a tensor grid) and the integrands vanish identically outside a known box.
+a tensor grid) and the integrands vanish identically outside the bump's
+support, the box over which both sides are integrated.
 Both sides of the weighted inequality
 
     integral w * (u^2 + |grad u|^2)  <=  integral w * (u_t + lap u)^2
@@ -20,19 +21,19 @@ therefore uses a product rule that resolves the peak: Newton's method
 finds the joint maximiser of ``F = L + 2 log|u|`` with each axis carried as
 its (log) distance to the nearer support edge; each axis is split there and
 graded on each side by a sinh map with Gauss-Legendre nodes from the
-Laplace width out to the end of the bump's support in the box; ``F - F*``
+Laplace width out to the end of the bump's support; ``F - F*``
 is evaluated as an expansion about the peak whose terms keep their
 relative precision; and both sides are accumulated against the same
 ``exp(F - F*)``, streamed over blocks of spatial nodes, each against all
 time nodes in one matrix product.  ``lhs`` and ``rhs`` are reported
 relative to ``exp(CarlemanReport.log_scale)``.
 
-The requested ``GridSpec`` sets the rule's node counts and the box;
-Newton's method starts from the best node of a fixed lattice of
-``_START_NODES`` per axis over the bump's part of that box, whatever the
-counts, with ``L`` on the lattice from ``weights.log_weight``.  An axis
-whose best node is next to an edge starts instead where the slope of
-``2 log b`` balances that of ``F`` (``_newton_start``).
+The requested ``GridSpec`` sets the rule's node counts; Newton's method
+starts from the best node of a fixed lattice of ``_START_NODES`` per axis
+over the support, whatever the counts, with ``L`` on the lattice from
+``weights.log_weight``.  An axis whose best node is next to an edge starts
+instead where the slope of ``2 log b`` balances that of ``F``
+(``_newton_start``).
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ __all__ = [
 
 
 class SupportViolationError(ValueError):
-    """The integration box is not strictly inside the truncated cone Q."""
+    """The bump's support is not strictly inside the truncated cone Q."""
 
 
 def _bump_factors(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -111,32 +112,25 @@ class BumpFunction:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Node counts and box of the quadrature.
+    """Node counts of the quadrature.
 
     ``counts`` are per-axis node counts (spatial axes first, time last), at
-    least 2 each, so that each side of the peak can get a node.
+    least 2 each, so that each side of the peak gets a node.
     ``carleman_integrals`` places ``counts[i]`` nodes of its peak-resolving
-    rule on axis ``i`` and integrates over ``box``.
+    rule on axis ``i`` of the bump's support.
     """
 
     counts: tuple[int, ...]
-    box: tuple[tuple[float, float], ...]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "counts", tuple(int(n) for n in self.counts))
-        object.__setattr__(self, "box", tuple((float(lo), float(hi)) for lo, hi in self.box))
-        if len(self.counts) != len(self.box):
-            raise ValueError("counts and box must have equal length")
         if any(n < 2 for n in self.counts):
             raise ValueError("axis counts must be at least 2")
-        if any(lo >= hi for lo, hi in self.box):
-            raise ValueError("box sides must have positive length")
 
     @classmethod
     def from_support(cls, u, n: int) -> "GridSpec":
-        """Cubic grid (n nodes per axis) over the support box of ``u``."""
-        box = u.support
-        return cls(counts=(n,) * len(box), box=box)
+        """``n`` nodes on each axis of ``u``."""
+        return cls(counts=(n,) * len(u.center))
 
 
 @dataclass(frozen=True)
@@ -256,7 +250,7 @@ class _Peak:
     ``slope`` is the gradient used in the expansion about the peak: zero
     where Newton's method converged, since there the computed gradient is
     rounding noise (its terms cancel from ~1e45), and the computed gradient
-    where it stopped short, e.g. at the edge of a clipped box.
+    where it stopped short.
     """
 
     point: _Point
@@ -479,16 +473,16 @@ def _ascent_step(g: np.ndarray, H: np.ndarray) -> np.ndarray:
     return g / np.maximum(np.abs(np.diag(H)), np.maximum(np.abs(g), 1e-300))
 
 
-def _find_peak(start: _Point, modes, s, floor_lo, floor_hi, params, a, K) -> _Peak:
+def _find_peak(start: _Point, modes, s, params, a, K) -> _Peak:
     """Newton ascent on ``F`` from ``start``, then the Laplace widths there.
 
     An axis with ``modes`` +1 (-1) moves in the log of its distance to the
     lower (upper) edge, where a concentrated peak sits; the others move in
     the coordinate itself.  Each step is halved until it raises ``F``,
-    measured in the expanded form, and keeps the point farther than
-    ``floor_lo`` / ``floor_hi`` from the edges.  The peak is stationary once
-    the predicted gain is below ``_NEWTON_TOL`` or a step would move no
-    axis by more than a few roundings of its coordinate or edge distance.
+    measured in the expanded form, and keeps the point inside the support.
+    The peak is stationary once the predicted gain is below ``_NEWTON_TOL``
+    or a step would move no axis by more than a few roundings of its
+    coordinate or edge distance.
     """
     p = start
     log_axis = modes != 0
@@ -505,8 +499,8 @@ def _find_peak(start: _Point, modes, s, floor_lo, floor_hi, params, a, K) -> _Pe
             break
         for _ in range(64):
             q = p.moved(delta)
-            if (np.all(np.isfinite(delta)) and np.all(q.lo_gap > floor_lo)
-                    and np.all(q.hi_gap > floor_hi)
+            if (np.all(np.isfinite(delta)) and np.all(q.lo_gap > 0.0)
+                    and np.all(q.hi_gap > 0.0)
                     and _exponent_step(p, s, gy / jac, delta, params, a, K) > 0.0):
                 break
             step = 0.5 * step
@@ -562,17 +556,13 @@ def _axis_rule(n: int, sigma: float, below: float, above: float, drop):
     """Offsets from the peak and weights of one axis's nodes, graded from the peak.
 
     ``below`` and ``above`` are the peak's distances to the lower and upper
-    ends of the axis's domain, the bump's support clipped to the box.  Each
-    side with room gets ``_graded_side`` nodes out to ``_side_extent``: the
-    lower side ``(n + 1) // 2`` and the upper side ``n // 2``, or all ``n``
-    where the peak stops on a clipped box's edge and the other side has
-    none.  ``drop(g)`` is the exponent's fall along the axis at offsets
-    ``g``.
+    edges of the bump's support.  Each side gets ``_graded_side`` nodes out
+    to ``_side_extent``: the lower side ``(n + 1) // 2`` and the upper side
+    ``n // 2``.  ``drop(g)`` is the exponent's fall along the axis at
+    offsets ``g``.
     """
-    sides = [(where, length) for where, length in ((-1.0, below), (1.0, above)) if length > 0.0]
-    counts = [n] if len(sides) == 1 else [(n + 1) // 2, n // 2]
     offset, weight = [], []
-    for (where, length), count in zip(sides, counts):
+    for where, length, count in ((-1.0, below, (n + 1) // 2), (1.0, above, n // 2)):
         extent = _side_extent(length, sigma, lambda g: drop(where * g))
         g, w = _graded_side(count, extent, sigma)
         offset.append(where * g)
@@ -598,11 +588,11 @@ def _stream(X, T, R) -> np.ndarray:
     return out
 
 
-def _newton_start(lo, hi, s, box_lo, box_hi, params: WeightParams, a, K):
+def _newton_start(lo, hi, s, params: WeightParams, a, K):
     """Newton's start point and axis modes for the bump, picked on a coarse lattice.
 
     The lattice has ``_START_NODES`` uniform nodes per axis over the bump's
-    part of the box; the start is the node with the largest
+    support; the start is the node with the largest
     ``F = L + 2 log B``.  An axis whose start is the bump's first (last)
     inside node gets mode +1 (-1), so Newton moves it in the log of its
     distance to the nearer edge, where a concentrated peak sits; the other
@@ -618,11 +608,9 @@ def _newton_start(lo, hi, s, box_lo, box_hi, params: WeightParams, a, K):
     the edge, so it is taken again at the moved point and the balance
     applied once more.  It is the slope of all of ``F``, not of the weight
     alone, so an axis moves only where the weight's pull outweighs the
-    bump's own slope, and never onto the box's edge where the box clips
-    the bump.  Mode-0 axes keep the lattice start.
+    bump's own slope.  Mode-0 axes keep the lattice start.
     """
-    axes = [np.linspace(start, stop, _START_NODES)
-            for start, stop in zip(np.maximum(lo, box_lo), np.minimum(hi, box_hi))]
+    axes = [np.linspace(start, stop, _START_NODES) for start, stop in zip(lo, hi)]
     F = _tensor_sum([2.0 * _log_b(ax - lo[i], hi[i] - ax, s[i]) for i, ax in enumerate(axes)])
     views = [_axis_view(ax, i, len(axes)) for i, ax in enumerate(axes)]
     F += log_weight(views[:-1], views[-1], a, K, params)
@@ -640,8 +628,7 @@ def _newton_start(lo, hi, s, box_lo, box_hi, params: WeightParams, a, K):
         g = _grad_hess(point, s, np.zeros_like(modes), params, a, K, hessian=False)
         x, lo_gap, hi_gap = point.x.copy(), point.lo_gap.copy(), point.hi_gap.copy()
         for i in np.nonzero(np.isfinite(g) & (modes * g < 0.0))[0]:
-            floor = box_lo[i] - lo[i] if modes[i] > 0 else hi[i] - box_hi[i]
-            e = max(math.sqrt(s[i] / abs(g[i])), floor)
+            e = math.sqrt(s[i] / abs(g[i]))
             if modes[i] > 0 and e < lo_gap[i]:
                 lo_gap[i], hi_gap[i], x[i] = e, (hi[i] - lo[i]) - e, lo[i] + e
             elif modes[i] < 0 and e < hi_gap[i]:
@@ -660,17 +647,17 @@ def carleman_integrals(
     """Both sides of the weighted inequality by a peak-resolving product rule.
 
     The left side integrates ``u^2 + |grad u|^2`` and the right side
-    ``(u_t + lap u)^2`` against the weight ``exp(L)``.  The joint
-    maximiser of ``F = L + 2 log|u|`` is found by Newton's method, started
-    from the argmax of ``F`` on a lattice of ``_START_NODES`` per axis over
-    the bump's part of ``grid.box``, moved towards an edge to the balance
-    point (``_newton_start``).  Each axis is split at the peak, and
-    ``grid.counts[i]`` Gauss-Legendre nodes are placed on its two sides
+    ``(u_t + lap u)^2`` against the weight ``exp(L)``, both over the
+    support of ``u``, which must lie strictly inside the truncated cone.
+    The joint maximiser of ``F = L + 2 log|u|`` is found by Newton's
+    method, started from the argmax of ``F`` on a lattice of
+    ``_START_NODES`` per axis over the support, moved towards an edge to
+    the balance point (``_newton_start``).  Each axis is split at the peak,
+    and ``grid.counts[i]`` Gauss-Legendre nodes are placed on its two sides
     (``_axis_rule``), graded by a sinh map from the Laplace width
-    ``sigma_i`` out to the end of the bump's support in the box.  The
-    integrand is evaluated as ``exp(F - F*)`` times the payloads divided by
-    ``u^2``, expanded about the peak, and streamed over blocks of spatial
-    nodes in one pass.  ``lhs`` and ``rhs`` are reported relative to
+    ``sigma_i`` out to the edge of the support.  The integrand is evaluated
+    as ``exp(F - F*)`` times the payloads divided by ``u^2``, expanded about
+    the peak, and streamed over blocks of spatial nodes in one pass.  ``lhs`` and ``rhs`` are reported relative to
     ``exp(log_scale)``, the left integrand's Laplace scale (see
     CarlemanReport).
 
@@ -680,25 +667,24 @@ def carleman_integrals(
     ``K_cap`` there.  From ``K`` near 210 the ratio is below that range, so
     ``rhs`` reads ``inf`` and ``ratio`` 0.
 
-    When the amplitude is 0 or the bump misses ``grid.box``, both sides
-    are 0 and the report passes.
+    When the amplitude is 0, both sides are 0 and the report passes.
     """
     if not a >= 0.0:
         raise ValueError(f"a must be nonnegative, got {a}")
     if not K > 0.0:
         raise ValueError(f"K must be positive, got {K}")
-    dim = len(grid.box) - 1
-    _check_box_in_Q(grid.box, params.epsilon)
-    box_lo = np.array([lo for lo, _ in grid.box])
-    box_hi = np.array([hi for _, hi in grid.box])
+    if len(grid.counts) != len(u.center):
+        raise ValueError(f"the grid has {len(grid.counts)} axes but the bump has "
+                         f"{len(u.center)} (dim {u.dim} plus time)")
+    dim = u.dim
+    _check_box_in_Q(u.support, params.epsilon)
+    if u.amplitude == 0.0:
+        return CarlemanReport(a=a, K=K, lhs=0.0, rhs=0.0, ratio=0.0, grid=grid, passed=True)
     s = np.array(u.radii)
     lo, hi = np.array(u.center) - s, np.array(u.center) + s
-    if u.amplitude == 0.0 or not (np.all(lo < box_hi) and np.all(hi > box_lo)):
-        return CarlemanReport(a=a, K=K, lhs=0.0, rhs=0.0, ratio=0.0, grid=grid, passed=True)
 
-    point, modes = _newton_start(lo, hi, s, box_lo, box_hi, params, a, K)
-    peak = _find_peak(point, modes, s, np.maximum(box_lo - lo, 0.0),
-                      np.maximum(hi - box_hi, 0.0), params, a, K)
+    point, modes = _newton_start(lo, hi, s, params, a, K)
+    peak = _find_peak(point, modes, s, params, a, K)
     p = peak.point
     # sqrt of the unit-amplitude left payload over u^2 at the peak
     slopes = _log_b_slope(p.lo_gap[:dim], p.hi_gap[:dim], s[:dim])
@@ -712,11 +698,9 @@ def carleman_integrals(
         X, T = _exponent_factors(p, s, peak.slope, offsets, params, a, K)
         return (X @ T).ravel()
 
-    # the peak's distances to the ends of the bump's support clipped to the box
-    below = p.lo_gap - (np.maximum(box_lo, lo) - lo)
-    above = (np.minimum(box_hi, hi) - hi) + p.hi_gap
-    offsets, weights = zip(*(_axis_rule(grid.counts[i], float(peak.sigma[i]), float(below[i]),
-                                        float(above[i]), functools.partial(drop, i))
+    offsets, weights = zip(*(_axis_rule(grid.counts[i], float(peak.sigma[i]),
+                                        float(p.lo_gap[i]), float(p.hi_gap[i]),
+                                        functools.partial(drop, i))
                              for i in range(dim + 1)))
     w_x = math.prod((_axis_view(weights[i] / peak.sigma[i], i, dim) for i in range(dim)),
                     start=np.ones([1] * dim)).ravel()

@@ -70,7 +70,8 @@ SUBCOMMANDS = ("solve", "gamma1", "check", "frontier", "scan", "quadrature", "id
 
 def session_argv(seed: int) -> list[list[str]]:
     """The argv of every CLI request of one benchmark ``session`` pass."""
-    sys.path.insert(0, str(ROOT / "perfbench"))
+    if str(ROOT / "perfbench") not in sys.path:
+        sys.path.insert(0, str(ROOT / "perfbench"))
     import workloads
 
     real = workloads._cli_call

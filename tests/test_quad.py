@@ -16,8 +16,7 @@ from carleman_cone.weights import WeightParams, log_weight
 
 PARAMS = WeightParams(m=2.46, alpha=1.999, gamma=0.8092, epsilon=0.60)
 BUMP = BumpFunction(amplitude=1.0, center=(4.0, 0.0, 0.5), radii=(0.8, 0.8, 0.3))
-# clips BUMP's support ((3.2, 4.8), (-0.8, 0.8), (0.2, 0.8)) at the lower x1 and t ends
-CLIPPED_BOX = ((3.5, 4.8), (-0.8, 0.8), (0.25, 0.8))
+BUMP3 = BumpFunction(amplitude=1.0, center=(4.0, 0.0, 0.0, 0.5), radii=(0.8, 0.8, 0.8, 0.3))
 
 
 def fields_at(u, x, t):
@@ -73,15 +72,16 @@ class TestBumpFunction:
 class TestGridSpec:
     def test_counts_validated(self):
         with pytest.raises(ValueError):
-            GridSpec(counts=(1, 9, 9), box=BUMP.support)
+            GridSpec(counts=(1, 9, 9))
         for n in (2, 10):
-            assert GridSpec(counts=(n, 9, 9), box=BUMP.support).counts[0] == n
+            assert GridSpec(counts=(n, 9, 9)).counts[0] == n
+        assert GridSpec.from_support(BUMP, 5).counts == (5, 5, 5)
+        assert GridSpec.from_support(BUMP3, 5).counts == (5, 5, 5, 5)
 
     def test_simpson_weights_sum_to_length(self):
-        grid = GridSpec.from_support(BUMP, 41)
         for axis in range(3):
-            nodes, weights = axis_nodes_weights(grid, axis)
-            lo, hi = grid.box[axis]
+            nodes, weights = axis_nodes_weights(BUMP, 41, axis)
+            lo, hi = BUMP.support[axis]
             assert weights.sum() == pytest.approx(hi - lo, rel=1e-12)
             assert nodes[0] == lo and nodes[-1] == hi
 
@@ -112,6 +112,13 @@ class TestCarlemanIntegrals:
             assert rep.lhs <= rep.rhs
             assert rep.ratio < 1.0
 
+    def test_axis_count_mismatch(self):
+        for u, other in ((BUMP, BUMP3), (BUMP3, BUMP)):
+            grid = GridSpec.from_support(other, 21)
+            with pytest.raises(ValueError, match=f"{len(other.center)} axes.*bump has "
+                                                 f"{len(u.center)}"):
+                carleman_integrals(u, PARAMS, 1.0, 60.0, grid)
+
     def test_support_violation(self):
         bad = BumpFunction(amplitude=1.0, center=(1.5, 0.0, 0.5), radii=(0.8, 0.8, 0.3))
         with pytest.raises(SupportViolationError):
@@ -119,7 +126,7 @@ class TestCarlemanIntegrals:
         late = BumpFunction(amplitude=1.0, center=(4.0, 0.0, 0.8), radii=(0.8, 0.8, 0.3))
         with pytest.raises(SupportViolationError):
             carleman_integrals(late, PARAMS, 1.0, 60.0, GridSpec.from_support(late, 21))
-        # wide cone parameter makes the same box exit the cone
+        # wide cone parameter makes the same support exit the cone
         narrow = WeightParams(m=2.46, alpha=1.999, gamma=0.8092, epsilon=0.98)
         with pytest.raises(SupportViolationError):
             carleman_integrals(BUMP, narrow, 1.0, 60.0, GridSpec.from_support(BUMP, 21))
@@ -261,10 +268,9 @@ def laplace_ratio(mp, a, K=60.0):
         return float(lhs / rhs)
 
 
-def axis_nodes_weights(grid, axis):
-    """Uniform nodes and composite Simpson weights of one axis of an odd-count grid."""
-    lo, hi = grid.box[axis]
-    n = grid.counts[axis]
+def axis_nodes_weights(u, n, axis):
+    """Uniform nodes and composite Simpson weights, n of them (odd), on one axis of u's support."""
+    lo, hi = u.support[axis]
     nodes = np.linspace(lo, hi, n)
     step = (hi - lo) / (n - 1)
     weights = np.full(n, 2.0)
@@ -275,8 +281,7 @@ def axis_nodes_weights(grid, axis):
 
 def simpson_integrals(u, a, K, n=161):
     """(lhs, rhs) by plain tensor Simpson on n nodes per axis, one time slice at a time."""
-    grid = GridSpec.from_support(u, n)
-    (x1, w1), (x2, w2), (t, wt) = (axis_nodes_weights(grid, i) for i in range(3))
+    (x1, w1), (x2, w2), (t, wt) = (axis_nodes_weights(u, n, i) for i in range(3))
     r2 = x1[:, None] ** 2 + x2[None, :] ** 2
     r = np.sqrt(r2)
     phi = r ** PARAMS.alpha * ((x1[:, None] / r) ** PARAMS.m - PARAMS.epsilon ** PARAMS.m)
@@ -325,7 +330,7 @@ class TestPeakResolvingRule:
             assert rep.ratio == pytest.approx(reference, rel=0.01)
 
     def test_dim3_ratio_does_not_move_with_the_grid(self):
-        u = BumpFunction(amplitude=1.0, center=(4.0, 0.0, 0.0, 0.5), radii=(0.8, 0.8, 0.8, 0.3))
+        u = BUMP3
         r21, r41 = (carleman_integrals(u, PARAMS, 1.0, 60.0, GridSpec.from_support(u, n)).ratio
                     for n in (21, 41))
         assert r41 == pytest.approx(r21, rel=0.01)
@@ -338,9 +343,8 @@ class TestPeakResolvingRule:
             assert type(base.log_scale) is float
             assert carleman_integrals(tripled, PARAMS, 1.0, K, grid).log_scale == base.log_scale
 
-    def test_clipped_box_side_without_room_gets_every_node(self, monkeypatch):
-        # at K = 60 the peak stops on the box's lower time edge, so the time
-        # axis has nodes on the peak's upper side only
+    @pytest.mark.parametrize("K", [0.5, 60.0])
+    def test_each_axis_splits_its_counts_at_the_peak(self, K, monkeypatch):
         import carleman_cone.quad as quad_mod
 
         rules = []
@@ -351,20 +355,14 @@ class TestPeakResolvingRule:
             return rules[-1]
 
         monkeypatch.setattr(quad_mod, "_axis_rule", recording)
-        for a in (0.1, 1.0, 10.0):
-            r41, r161 = (carleman_integrals(BUMP, PARAMS, a, 60.0, GridSpec((n,) * 3, CLIPPED_BOX))
-                         for n in (41, 161))
-            assert r41.passed and r161.passed
-            assert r41.ratio == pytest.approx(r161.ratio, rel=1e-8)
-        time_offsets = [offset for offset, _ in rules[2::3]]
-        assert [len(o) for o in time_offsets] == [41, 161] * 3
-        assert all(np.all(o > 0.0) for o in time_offsets)
-        # resolved: every node carries weight, on both sides of the peak
-        for a in (0.1, 1.0, 10.0):
-            r81, r161 = (carleman_integrals(BUMP, PARAMS, a, 0.5, GridSpec((n,) * 3, CLIPPED_BOX))
-                         for n in (81, 161))
-            assert r81.passed
-            assert r81.ratio == pytest.approx(r161.ratio, rel=1e-3)
+        for n in (2, 3, 41):
+            rules.clear()
+            carleman_integrals(BUMP, PARAMS, 1.0, K, GridSpec.from_support(BUMP, n))
+            assert len(rules) == 3
+            for offsets, weights in rules:
+                assert len(offsets) == len(weights) == n
+                assert np.sum(offsets < 0.0) == (n + 1) // 2
+                assert np.sum(offsets > 0.0) == n // 2
 
     @pytest.mark.parametrize("dim, K, a", [
         (2, 60.0, 0.1), (2, 60.0, 1.0), (2, 60.0, 10.0), (3, 60.0, 1.0),
@@ -383,7 +381,7 @@ class TestPeakResolvingRule:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(quad_mod, "_grad_hess", counting)
-        u = BUMP if dim == 2 else BumpFunction(1.0, (4.0, 0.0, 0.0, 0.5), (0.8, 0.8, 0.8, 0.3))
+        u = BUMP if dim == 2 else BUMP3
         rep = carleman_integrals(u, PARAMS, a, K, GridSpec.from_support(u, 21))
         assert rep.passed
         assert len(calls) <= 16
@@ -393,7 +391,7 @@ class TestPeakResolvingRule:
     def test_peak_within_1e_103_of_an_edge_raises_no_warning(self, dim):
         # at K = 400 the balance start lands ~1e-128 from the time edge, where
         # log b's curvature in plain coordinates, ~s^2/e^3, leaves float64
-        u = BUMP if dim == 2 else BumpFunction(1.0, (4.0, 0.0, 0.0, 0.5), (0.8, 0.8, 0.8, 0.3))
+        u = BUMP if dim == 2 else BUMP3
         (rep,) = verify_carleman(u, PARAMS, [1.0], 400.0, 400.0, GridSpec.from_support(u, 21))
         assert rep.passed and math.isfinite(rep.lhs) and rep.lhs > 0.0
 
