@@ -5,12 +5,13 @@ certifier and solver rows must match byte for byte; the ``quadrature`` and
 ``identities`` rows, whose floats come from numpy and may move in the last
 bits between numpy versions, must match with every number within ``REL``
 relative and every other character equal.  ``tests/golden/record.py``
-rewrites the corpus after an intended change.
+rewrites the corpus after an intended change; the replay runs each row
+with its ``run``.
 """
 
 import dataclasses
 import hashlib
-import io
+import importlib.util
 import json
 import math
 import re
@@ -20,14 +21,17 @@ import pytest
 
 from carleman_cone import cli
 
-CORPUS = Path(__file__).parent / "golden" / "cli.jsonl"
-FLOAT_COMMANDS = ("quadrature", "identities")
+_spec = importlib.util.spec_from_file_location(
+    "golden_record", Path(__file__).parent / "golden" / "record.py")
+record = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(record)
+
 REL = 1e-12
 NUMBER = re.compile(r"([-+]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?)")
 
 
 def rows():
-    return [json.loads(line) for line in CORPUS.read_text(encoding="utf-8").splitlines()]
+    return [json.loads(line) for line in record.CORPUS.read_text(encoding="utf-8").splitlines()]
 
 
 def same_up_to_floats(got: str, want: str) -> bool:
@@ -39,22 +43,13 @@ def same_up_to_floats(got: str, want: str) -> bool:
                for i, (g, w) in enumerate(zip(got_parts, want_parts)))
 
 
-def run(argv, config):
-    try:
-        cfg = cli.parse_config(argv, config)
-    except cli.UsageError:
-        return 3, ""
-    buf = io.StringIO()
-    return cli.execute(cfg, stream=buf), buf.getvalue()
-
-
 def mismatch(row, code, stdout):
     """What differs between one row and its replay, or None."""
     if code != row["code"]:
         return f"exit {code}, recorded {row['code']}"
     if "sha256" in row:
         same = hashlib.sha256(stdout.encode("utf-8")).hexdigest() == row["sha256"]
-    elif row["argv"][0] in FLOAT_COMMANDS:
+    elif row["argv"][0] in record.FLOAT_COMMANDS:
         same = same_up_to_floats(stdout, row["stdout"])
     else:
         same = stdout == row["stdout"]
@@ -82,7 +77,7 @@ def shared_runs(monkeypatch):
 def test_corpus_replays_unchanged(shared_runs):
     failures = []
     for row in rows():
-        why = mismatch(row, *run(row["argv"], row["config"]))
+        why = mismatch(row, *record.run(row["argv"], row["config"]))
         if why is not None:
             config = "" if row["config"] is None else f" with config {row['config']!r}"
             failures.append(f"{' '.join(row['argv'])}{config}: {why}")
