@@ -24,9 +24,9 @@ graded on each side by a sinh map with Gauss-Legendre nodes from the
 Laplace width out to the end of the bump's support; ``F - F*``
 is evaluated as an expansion about the peak whose terms keep their
 relative precision; and both sides are accumulated against the same
-``exp(F - F*)``, streamed over blocks of spatial nodes, each against all
-time nodes in one matrix product.  ``lhs`` and ``rhs`` are reported
-relative to ``exp(CarlemanReport.log_scale)``.
+``exp(F - F*)``, separable at a concentrated peak and otherwise streamed
+over blocks of spatial nodes, each against all time nodes in one matrix
+product.  ``lhs`` and ``rhs`` are relative to ``exp(CarlemanReport.log_scale)``.
 
 The requested ``GridSpec`` sets the rule's node counts; Newton's method
 starts from the best node of a fixed lattice of ``_START_NODES`` per axis
@@ -156,9 +156,9 @@ class CarlemanReport:
     log_scale: float = 0.0
 
 
-def _check_box_in_Q(box, epsilon: float) -> None:
-    spatial = box[:-1]
-    t_lo, t_hi = box[-1]
+def _check_support_in_Q(support, epsilon: float) -> None:
+    spatial = support[:-1]
+    t_lo, t_hi = support[-1]
     if not (0.0 < t_lo and t_hi < 1.0):
         raise SupportViolationError(f"time range ({t_lo}, {t_hi}) exits (0, 1)")
     for corner in itertools.product(*spatial):
@@ -222,6 +222,8 @@ _START_NODES = 17
 _BLOCK_NODES = 1 << 17
 _NEWTON_STEPS = 500
 _EPS = float(np.finfo(float).eps)
+# Bound on the cross terms of X @ T under which _stream takes it as separable.
+_CROSS_TOL = _EPS / 4.0
 # Predicted Newton gain, in units of the exponent, below which the peak is final.
 _NEWTON_TOL = 1e-9
 
@@ -286,25 +288,23 @@ def _log_b_slope(lo_gap, hi_gap, s):
     return s * s * (hi_gap - lo_gap) / e / e
 
 
-def _expm1_rest(y):
-    """``expm1(y) - y`` without the cancellation at small ``y``."""
-    y = np.asarray(y, dtype=float)
+def _expm1_rest(y, expm1_y):
+    """``expm1(y) - y`` from ``expm1_y``, with a series where ``|y| < 1e-2``."""
+    rest = expm1_y - y
     small = np.abs(y) < 1e-2
-    z = np.where(small, y, 0.0)
-    series = z * z * (1 / 2 + z * (1 / 6 + z * (1 / 24 + z * (1 / 120
-                                                          + z * (1 / 720 + z / 5040)))))
-    with np.errstate(over="ignore", invalid="ignore"):
-        return np.where(small, series, np.expm1(y) - y)
+    z = y[small]
+    rest[small] = z * z * (1 / 2 + z * (1 / 6 + z * (1 / 24 + z * (1 / 120
+                                                                + z * (1 / 720 + z / 5040)))))
+    return rest
 
 
-def _log1p_rest(u):
-    """``log1p(u) - u`` without the cancellation at small ``u``."""
-    u = np.asarray(u, dtype=float)
+def _log1p_rest(u, log1p_u):
+    """``log1p(u) - u`` from ``log1p_u``, with a series where ``|u| < 1e-3``."""
+    rest = log1p_u - u
     small = np.abs(u) < 1e-3
-    z = np.where(small, u, 0.0)
-    series = -z * z * (1 / 2 - z * (1 / 3 - z * (1 / 4 - z * (1 / 5 - z / 6))))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(small, series, np.log1p(u) - u)
+    z = u[small]
+    rest[small] = -z * z * (1 / 2 - z * (1 / 3 - z * (1 / 4 - z * (1 / 5 - z / 6))))
+    return rest
 
 
 def _log_b_rest(d, lo_gap, hi_gap, s):
@@ -355,13 +355,17 @@ def _exponent_factors(p: _Point, s, slope, offsets, params: WeightParams, a, K):
     log1p(u)))`` with ``u = dt/t0`` for the amplification, the same
     expm1/log1p remainders of the offsets in ``log x1`` and ``log r`` for
     ``phi``, and edge distances for ``log b``.
+
+    ``_stream`` relies on the layout: ``X[:, 0]`` is space alone and ``T[1]``
+    time alone, ``X[:, 1]`` and ``T[0]`` are ones, and columns (rows) 2.. are
+    the cross terms ``2a dphi (x) dlam``, ``2 x.offsets (x) dt/(8 t t0)`` and
+    ``-|offsets|^2 (x) 1/(8t)``.  ``X`` is in Fortran order: columns are contiguous.
     """
     dim = len(offsets) - 1
     spatial = _tensor_sum([2.0 * _log_b_rest(offsets[j], p.lo_gap[j], p.hi_gap[j], s[j])
                            + slope[j] * offsets[j] for j in range(dim)]).ravel()
     dt = offsets[dim]
     time_part = 2.0 * _log_b_rest(dt, p.lo_gap[dim], p.hi_gap[dim], s[dim]) + slope[dim] * dt
-    ones_x, ones_t = np.ones(spatial.size), np.ones(dt.size)
     m, alpha = params.m, params.alpha
     xs = p.x[:dim]
     r2 = float(xs @ xs)
@@ -370,36 +374,42 @@ def _exponent_factors(p: _Point, s, slope, offsets, params: WeightParams, a, K):
     dot = _tensor_sum([xs[j] * offsets[j] for j in range(dim)])
     sq = _tensor_sum([o * o for o in offsets[:dim]])
     rho = (2.0 * dot + sq) / r2
-    log_r = 0.5 * np.log1p(rho)
-    log_r_rest = 0.5 * (_log1p_rest(rho) + sq / r2)  # log(r/r0) - x.offsets/r0^2
+    log1p_rho = np.log1p(rho)
+    log_r = 0.5 * log1p_rho
+    log_r_rest = 0.5 * (_log1p_rest(rho, log1p_rho) + sq / r2)  # log(r/r0) - x.offsets/r0^2
     u1 = _axis_view(offsets[0] / xs[0], 0, dim)
-    y = m * np.log1p(u1) + (alpha - m) * log_r
-    y_rest = m * _log1p_rest(u1) + (alpha - m) * log_r_rest
+    log1p_u1 = np.log1p(u1)
+    y = m * log1p_u1 + (alpha - m) * log_r
+    y_rest = m * _log1p_rest(u1, log1p_u1) + (alpha - m) * log_r_rest
     head = math.pow(xs[0], m) * math.pow(r, alpha - m)
     tail = math.pow(params.epsilon, m) * math.pow(r, alpha)
-    dphi = (head * np.expm1(y) - tail * np.expm1(alpha * log_r)).ravel()
-    dphi_rest = (head * (_expm1_rest(y) + y_rest)
-                 - tail * (_expm1_rest(alpha * log_r) + alpha * log_r_rest)).ravel()
+    y_r = alpha * log_r
+    expm1_y, expm1_y_r = np.expm1(y), np.expm1(y_r)
+    dphi = head * expm1_y - tail * expm1_y_r
+    dphi_rest = (head * (_expm1_rest(y, expm1_y) + y_rest)
+                 - tail * (_expm1_rest(y_r, expm1_y_r) + alpha * log_r_rest))
     t0 = float(p.x[dim])
     t = t0 + dt
     amp = math.pow(t0, -K)
     u_t = dt / t0
-    y_t = -K * np.log1p(u_t)
-    dlam = amp * np.expm1(y_t)
-    dlam_rest = amp * (_expm1_rest(y_t) - K * _log1p_rest(u_t))
+    log1p_u_t = np.log1p(u_t)
+    y_t = -K * log1p_u_t
+    expm1_y_t = np.expm1(y_t)
+    dlam = amp * expm1_y_t
+    dlam_rest = amp * (_expm1_rest(y_t, expm1_y_t) - K * _log1p_rest(u_t, log1p_u_t))
     # the Gaussian factor's remainder: -(r0^2+K) dt^2/(8 t0^2 t)
-    # + 2 x.offsets dt/(8 t t0) - |offsets|^2/(8t)
-    X = np.column_stack([spatial + 2.0 * a * (amp - 1.0) * dphi_rest, ones_x,
-                         2.0 * a * dphi, 2.0 * dot.ravel(), -sq.ravel()])
+    # + 2 x.offsets dt/(8 t t0) - |offsets|^2/(8t); X, stacked by columns, is Fortran-ordered
+    X = np.vstack([spatial + 2.0 * a * (amp - 1.0) * dphi_rest.ravel(), np.ones(spatial.size),
+                   2.0 * a * dphi.ravel(), 2.0 * dot.ravel(), -sq.ravel()]).T
     T = np.vstack([
-        ones_t,
+        np.ones(dt.size),
         time_part + 2.0 * a * (head - tail) * dlam_rest
         - (r2 + K) * dt * dt / (8.0 * t0 * t0 * t),
         dlam,
         dt / (8.0 * t * t0),
         1.0 / (8.0 * t),
     ])
-    return np.maximum(X, _LOG_ZERO), np.maximum(T, _LOG_ZERO)
+    return np.maximum(X, _LOG_ZERO, out=X), np.maximum(T, _LOG_ZERO, out=T)
 
 
 def _exponent_step(p: _Point, s, slope, delta, params, a, K) -> float:
@@ -535,18 +545,22 @@ def _graded_side(n: int, extent: float, sigma: float) -> tuple[np.ndarray, np.nd
     return sigma * np.sinh(u), 0.5 * top * sigma * np.cosh(u) * w
 
 
-def _side_extent(length: float, sigma: float, drop) -> float:
+def _side_samples(length: float, sigma: float) -> np.ndarray:
+    """Offsets ``sigma * 2^k`` below ``length``, then ``length``; none if ``length <= sigma``."""
+    if not length > sigma:
+        return np.empty(0)
+    return np.append(sigma * 2.0 ** np.arange(int(math.log2(length / sigma)) + 1), length)
+
+
+def _side_extent(length: float, sigma: float, samples: np.ndarray, drops: np.ndarray) -> float:
     """How far one side of a peak needs nodes.
 
-    ``drop(g)`` is the exponent's fall along the axis at offsets ``g``; it is
-    sampled at ``sigma * 2^k``, and the side ends at the first sample past
-    the last one above ``_LOG_FLOOR``, but not before ``sqrt(-2 floor)``
-    widths or after the edge.
+    ``drops`` is the exponent's fall along the axis at the ``_side_samples``
+    offsets ``samples``; the side ends at the first sample past the last one
+    above ``_LOG_FLOOR``, but not before ``sqrt(-2 floor)`` widths or after
+    the edge (all of it if there are no samples).
     """
-    if not length > sigma:
-        return length
-    samples = np.append(sigma * 2.0 ** np.arange(int(math.log2(length / sigma)) + 1), length)
-    above = np.nonzero(drop(samples) >= _LOG_FLOOR)[0]
+    above = np.nonzero(drops >= _LOG_FLOOR)[0]
     last = int(above[-1]) + 1 if above.size else 0
     extent = float(samples[last]) if last < samples.size else length
     return min(length, max(extent, math.sqrt(-2.0 * _LOG_FLOOR) * sigma))
@@ -559,25 +573,30 @@ def _axis_rule(n: int, sigma: float, below: float, above: float, drop):
     edges of the bump's support.  Each side gets ``_graded_side`` nodes out
     to ``_side_extent``: the lower side ``(n + 1) // 2`` and the upper side
     ``n // 2``.  ``drop(g)`` is the exponent's fall along the axis at
-    offsets ``g``.
+    offsets ``g``, called once for both sides.
     """
-    offset, weight = [], []
-    for where, length, count in ((-1.0, below, (n + 1) // 2), (1.0, above, n // 2)):
-        extent = _side_extent(length, sigma, lambda g: drop(where * g))
-        g, w = _graded_side(count, extent, sigma)
-        offset.append(where * g)
-        weight.append(w)
-    return np.concatenate(offset), np.concatenate(weight)
+    low, high = _side_samples(below, sigma), _side_samples(above, sigma)
+    drop_low, drop_high = np.split(drop(np.concatenate([-low, high])), [low.size])
+    g_low, w_low = _graded_side((n + 1) // 2, _side_extent(below, sigma, low, drop_low), sigma)
+    g_high, w_high = _graded_side(n // 2, _side_extent(above, sigma, high, drop_high), sigma)
+    return np.concatenate([-g_low, g_high]), np.concatenate([w_low, w_high])
 
 
 def _stream(X, T, R) -> np.ndarray:
-    """``exp(max(X @ T, _EXP_FLOOR)) @ R``, one block of spatial rows at a time.
+    """``exp(max(X @ T, _EXP_FLOOR)) @ R`` for factors in ``_exponent_factors``' layout.
 
-    A block holds ``_BLOCK_NODES // T.shape[1]`` rows of ``X`` (at least
-    one), so its exponents take at most ``max(_BLOCK_NODES, T.shape[1])``
-    doubles whatever the grid; each block is one product over the whole
-    time axis and writes its rows of the result once.
+    Where the cross terms can move no exponent by more than a quarter of the
+    float64 epsilon (as at a concentrated peak), each weight moves by less
+    than the rounding of ``exp``, so the result is the separable
+    ``exp(X[:, 0]) (exp(T[1]) @ R)``.  Otherwise a block of
+    ``_BLOCK_NODES // T.shape[1]`` rows of ``X`` (at least one) is taken at a
+    time, one product over the whole time axis, so the exponents take at
+    most ``max(_BLOCK_NODES, T.shape[1])`` doubles whatever the grid.
     """
+    cross = np.max(np.abs(X[:, 2:]), axis=0) @ np.max(np.abs(T[2:]), axis=1)
+    if cross <= _CROSS_TOL:
+        space = np.exp(np.maximum(X[:, 0], _EXP_FLOOR))
+        return space[:, None] * (np.exp(np.maximum(T[1], _EXP_FLOOR)) @ R)
     block = max(1, _BLOCK_NODES // T.shape[1])
     out = np.empty((X.shape[0], R.shape[1]))
     for i in range(0, X.shape[0], block):
@@ -657,9 +676,10 @@ def carleman_integrals(
     (``_axis_rule``), graded by a sinh map from the Laplace width
     ``sigma_i`` out to the edge of the support.  The integrand is evaluated
     as ``exp(F - F*)`` times the payloads divided by ``u^2``, expanded about
-    the peak, and streamed over blocks of spatial nodes in one pass.  ``lhs`` and ``rhs`` are reported relative to
-    ``exp(log_scale)``, the left integrand's Laplace scale (see
-    CarlemanReport).
+    the peak, separably where the peak is concentrated and streamed over
+    blocks of spatial nodes otherwise (``_stream``).  ``lhs`` and ``rhs``
+    are reported relative to ``exp(log_scale)``, the left integrand's
+    Laplace scale (see CarlemanReport).
 
     For the default bump the peak is resolved up to ``K`` near 428 (for
     ``a = 10``; 431 for ``a = 0.1``), where Newton's time curvature
@@ -677,7 +697,7 @@ def carleman_integrals(
         raise ValueError(f"the grid has {len(grid.counts)} axes but the bump has "
                          f"{len(u.center)} (dim {u.dim} plus time)")
     dim = u.dim
-    _check_box_in_Q(u.support, params.epsilon)
+    _check_support_in_Q(u.support, params.epsilon)
     if u.amplitude == 0.0:
         return CarlemanReport(a=a, K=K, lhs=0.0, rhs=0.0, ratio=0.0, grid=grid, passed=True)
     s = np.array(u.radii)

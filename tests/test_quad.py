@@ -102,7 +102,7 @@ class TestCarlemanIntegrals:
             rep = carleman_integrals(scaled, PARAMS, 1.0, 60.0, grid)
             assert rep.lhs == pytest.approx(lam ** 2 * base.lhs, rel=1e-12)
             assert rep.rhs == pytest.approx(lam ** 2 * base.rhs, rel=1e-12)
-            assert rep.ratio == pytest.approx(base.ratio, rel=1e-12)
+            assert rep.ratio == pytest.approx(base.ratio, rel=1e-12, abs=0.0)
 
     def test_acceptance_configuration_passes(self):
         grid = GridSpec.from_support(BUMP, 81)
@@ -193,8 +193,8 @@ class TestCarlemanIntegrals:
         ref_lhs, ref_rhs = simpson_integrals(BUMP, 0.0, K)
         rep = carleman_integrals(BUMP, PARAMS, 0.0, K, GridSpec.from_support(BUMP, 81))
         scale = math.exp(rep.log_scale)
-        assert rep.lhs * scale == pytest.approx(ref_lhs, rel=1e-6)
-        assert rep.rhs * scale == pytest.approx(ref_rhs, rel=1e-3)
+        assert rep.lhs * scale == pytest.approx(ref_lhs, rel=1e-6, abs=0.0)
+        assert rep.rhs * scale == pytest.approx(ref_rhs, rel=1e-3, abs=0.0)
 
     def test_translation_covariance(self):
         deeper = BumpFunction(amplitude=1.0, center=(6.0, 0.0, 0.5), radii=(0.8, 0.8, 0.3))
@@ -315,10 +315,10 @@ class TestPeakResolvingRule:
     def test_concentrated_ratio_is_the_laplace_ratio(self, a, expected):
         mpmath = pytest.importorskip("mpmath")
         reference = laplace_ratio(mpmath, a)
-        assert reference == pytest.approx(expected, rel=1e-5)
+        assert reference == pytest.approx(expected, rel=1e-5, abs=0.0)
         for n in (41, 81):
             rep = carleman_integrals(BUMP, PARAMS, a, 60.0, GridSpec.from_support(BUMP, n))
-            assert rep.ratio == pytest.approx(reference, rel=0.01)
+            assert rep.ratio == pytest.approx(reference, rel=0.01, abs=0.0)
 
     @pytest.mark.parametrize("a, expected", [(0.1, 0.019845), (1.0, 0.0080027)])
     def test_resolved_ratio_matches_plain_simpson(self, a, expected):
@@ -327,13 +327,13 @@ class TestPeakResolvingRule:
         assert reference == pytest.approx(expected, rel=1e-4)
         for n in (41, 81):
             rep = carleman_integrals(BUMP, PARAMS, a, 0.5, GridSpec.from_support(BUMP, n))
-            assert rep.ratio == pytest.approx(reference, rel=0.01)
+            assert rep.ratio == pytest.approx(reference, rel=0.01, abs=0.0)
 
     def test_dim3_ratio_does_not_move_with_the_grid(self):
         u = BUMP3
         r21, r41 = (carleman_integrals(u, PARAMS, 1.0, 60.0, GridSpec.from_support(u, n)).ratio
                     for n in (21, 41))
-        assert r41 == pytest.approx(r21, rel=0.01)
+        assert r41 == pytest.approx(r21, rel=0.01, abs=0.0)
 
     def test_log_scale_contract(self):
         grid = GridSpec.from_support(BUMP, 41)
@@ -422,6 +422,172 @@ class TestStream:
         monkeypatch.setattr(quad_mod, "_BLOCK_NODES", block_nodes)
         streamed = quad_mod._stream(X, T, R)
         np.testing.assert_allclose(streamed, dense, rtol=1e-13, atol=0.0)
+
+
+
+def separable_layout(rng, rows, cols, cross, terms=3):
+    """Factors in ``_exponent_factors``' layout whose cross-term bound is ``cross``.
+
+    The space and time parts are quarter-integers, so ``X[:, 0] + T[1]`` is
+    exact in any summation order; the first five rows sit below the floor
+    whatever the time node.  Each cross column of ``X`` peaks at 1 in
+    absolute value, the first ``terms`` cross rows of ``T`` at
+    ``cross / terms`` and the others are zero; with one term the bound is
+    ``cross`` exactly.
+    """
+    X = np.empty((rows, 5), order="F")
+    X[:, 0] = rng.integers(-80, 1, rows) / 4.0
+    X[:5, 0] = rng.integers(-3040, -2804, 5) / 4.0
+    X[:, 1] = 1.0
+    X[:, 2:] = rng.uniform(-1.0, 1.0, (rows, 3))
+    X[:, 2:] /= np.max(np.abs(X[:, 2:]), axis=0)
+    T = np.zeros((5, cols))
+    T[0] = 1.0
+    T[1] = rng.integers(-20, 1, cols) / 4.0
+    T[2:2 + terms] = rng.uniform(-1.0, 1.0, (terms, cols))
+    T[2:2 + terms] /= np.max(np.abs(T[2:2 + terms]), axis=1)[:, None]
+    T[2:2 + terms] *= cross / terms
+    return X, T
+
+
+class TestSeparableStream:
+    """Where the cross terms are below a quarter epsilon, _stream drops them."""
+
+    @pytest.mark.parametrize("fraction", [0.0, 0.5, 0.9])
+    @pytest.mark.parametrize("rows, cols", [(40, 9), (7, 1), (6, 12)])
+    def test_matches_dense_product(self, fraction, rows, cols):
+        import carleman_cone.quad as quad_mod
+
+        rng = np.random.default_rng(100 * rows + cols)
+        X, T = separable_layout(rng, rows, cols, fraction * quad_mod._CROSS_TOL)
+        R = rng.uniform(0.1, 1.0, (cols, 3))
+        dense = np.exp(np.maximum(X @ T, quad_mod._EXP_FLOOR)) @ R
+        # a node at the floor weighs at most exp(_EXP_FLOOR) in either form
+        floor = math.exp(quad_mod._EXP_FLOOR) * float(np.max(R.sum(axis=0)))
+        np.testing.assert_allclose(quad_mod._stream(X, T, R), dense, rtol=1e-15, atol=floor)
+
+    @pytest.mark.parametrize("above", [False, True])
+    def test_switches_at_the_bound(self, above):
+        import carleman_cone.quad as quad_mod
+
+        rng = np.random.default_rng(7)
+        bound = quad_mod._CROSS_TOL
+        X, T = separable_layout(rng, 30, 8, np.nextafter(bound, 1.0) if above else bound, 1)
+        R = rng.uniform(0.1, 1.0, (8, 3))
+        # a ones column of 2 breaks the layout where only the streamed
+        # product reads it: streamed, the time part counts twice
+        X[:, 1] = 2.0
+        space = np.exp(np.maximum(X[:, 0], quad_mod._EXP_FLOOR))[:, None]
+        separable = space * (np.exp(np.maximum(T[1], quad_mod._EXP_FLOOR)) @ R)
+        streamed = np.exp(np.maximum(X @ T, quad_mod._EXP_FLOOR)) @ R
+        expected, other = (streamed, separable) if above else (separable, streamed)
+        got = quad_mod._stream(X, T, R)
+        np.testing.assert_allclose(got[5:], expected[5:], rtol=1e-13)
+        assert not np.allclose(got[5:], other[5:], rtol=1e-3)
+
+    @pytest.mark.parametrize("dim, n, K, separable", [
+        (2, 41, 60.0, True), (3, 21, 60.0, True), (2, 41, 0.5, False), (3, 21, 0.5, False),
+    ])
+    def test_concentrated_peak_takes_the_separable_path(self, dim, n, K, separable,
+                                                         monkeypatch):
+        import carleman_cone.quad as quad_mod
+
+        calls = []
+        real = quad_mod._stream
+
+        def recording(X, T, R):
+            calls.append((X, T, R, real(X, T, R)))
+            return calls[-1][-1]
+
+        monkeypatch.setattr(quad_mod, "_stream", recording)
+        u = BUMP if dim == 2 else BUMP3
+        for a in (0.1, 1.0, 10.0):
+            carleman_integrals(u, PARAMS, a, K, GridSpec.from_support(u, n))
+        assert len(calls) == 3
+        floor = quad_mod._EXP_FLOOR
+        for X, T, R, out in calls:
+            product = (np.exp(np.maximum(X[:, 0], floor))[:, None]
+                       * (np.exp(np.maximum(T[1], floor)) @ R))
+            if separable:
+                assert np.array_equal(out, product)
+            else:
+                assert not np.allclose(out, product, rtol=1e-3)
+
+    @pytest.mark.parametrize("dim, n", [(2, 161), (3, 41)])
+    def test_separable_agrees_with_streamed_on_benchmark_inputs(self, dim, n, monkeypatch):
+        # the concentrated and dim3 cases of the quadrature workload (BUMP
+        # and BUMP3 are the CLI's default bumps), with the streamed path
+        # forced by a cross-term bound no input meets
+        import carleman_cone.quad as quad_mod
+
+        u = BUMP if dim == 2 else BUMP3
+        grid = GridSpec.from_support(u, n)
+        for a in (0.1, 1.0, 10.0):
+            separable = carleman_integrals(u, PARAMS, a, 60.0, grid)
+            with monkeypatch.context() as patch:
+                patch.setattr(quad_mod, "_CROSS_TOL", -1.0)
+                streamed = carleman_integrals(u, PARAMS, a, 60.0, grid)
+            for field in ("lhs", "rhs", "ratio", "log_scale"):
+                assert getattr(separable, field) == pytest.approx(getattr(streamed, field),
+                                                                  rel=1e-13, abs=0.0)
+
+
+class TestRemainders:
+    """``expm1(y) - y`` and ``log1p(u) - u`` against 50-digit references."""
+
+    @staticmethod
+    def around(switch):
+        at = np.array([switch, np.nextafter(switch, 0.0), np.nextafter(switch, 1.0),
+                       0.9 * switch, 1.1 * switch, 1e-4 * switch, 3.0 * switch, 9.0 * switch])
+        return np.concatenate([at, -at])
+
+    @staticmethod
+    def check(values, rest, exact, switch):
+        # below the switch the series keeps full precision; above it the
+        # difference loses about eps/|v| to cancellation, and nothing at large |v|
+        eps = float(np.finfo(float).eps)
+        for v, got in zip(values, rest):
+            want = float(exact(v))
+            rtol = 2e-15 if abs(v) < switch else max(2e-15, 4.0 * eps / abs(v))
+            assert got == pytest.approx(want, rel=rtol, abs=0.0), v
+
+    def test_expm1_rest_against_mpmath(self):
+        from carleman_cone.quad import _expm1_rest
+
+        mpmath = pytest.importorskip("mpmath")
+        y = np.concatenate([self.around(1e-2), [0.0, 0.5, -0.5, 5.0, -5.0, 700.0, -800.0]])
+        with mpmath.workdps(50):
+            self.check(y, _expm1_rest(y, np.expm1(y)),
+                       lambda v: mpmath.expm1(mpmath.mpf(v)) - mpmath.mpf(v), 1e-2)
+
+    def test_log1p_rest_against_mpmath(self):
+        from carleman_cone.quad import _log1p_rest
+
+        mpmath = pytest.importorskip("mpmath")
+        u = np.concatenate([self.around(1e-3), [0.0, 0.5, -0.5, 10.0, -0.999999,
+                                                -1.0 + 1e-10, -1.0 + 2.0 ** -53]])
+        with mpmath.workdps(50):
+            self.check(u, _log1p_rest(u, np.log1p(u)),
+                       lambda v: mpmath.log1p(mpmath.mpf(v)) - mpmath.mpf(v), 1e-3)
+
+    def test_log1p_rest_at_minus_one(self):
+        from carleman_cone.quad import _log1p_rest
+
+        u = np.array([-1.0, -0.5])
+        with np.errstate(divide="ignore"):
+            log1p_u = np.log1p(u)
+        rest = _log1p_rest(u, log1p_u)
+        assert rest[0] == -np.inf
+        assert rest[1] == pytest.approx(math.log(0.5) + 0.5, rel=1e-15, abs=0.0)
+
+    def test_expm1_rest_where_expm1_overflows(self):
+        from carleman_cone.quad import _expm1_rest
+
+        y = np.array([709.0, 710.0, 1e3, 1e300])
+        with np.errstate(over="ignore"):
+            expm1_y = np.expm1(y)
+        rest = _expm1_rest(y, expm1_y)
+        assert math.isfinite(rest[0]) and np.all(rest[1:] == np.inf)
 
 
 class TestVerifyCarleman:
