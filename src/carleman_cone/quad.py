@@ -24,9 +24,9 @@ graded on each side by a sinh map with Gauss-Legendre nodes from the
 Laplace width out to the end of the bump's support; ``F - F*``
 is evaluated as an expansion about the peak whose terms keep their
 relative precision; and both sides are accumulated against the same
-``exp(F - F*)``, separable at a concentrated peak and otherwise streamed
-over blocks of spatial nodes, each against all time nodes in one matrix
-product.  ``lhs`` and ``rhs`` are relative to ``exp(CarlemanReport.log_scale)``.
+``exp(F - F*)``, as 1-D sums where it splits by axis (a concentrated peak) and
+otherwise streamed over blocks of spatial nodes, each against all time nodes
+in one matrix product.  ``lhs`` and ``rhs`` are relative to ``exp(CarlemanReport.log_scale)``.
 
 The requested ``GridSpec`` sets the rule's node counts; Newton's method
 starts from the best node of a fixed lattice of ``_START_NODES`` per axis
@@ -222,7 +222,7 @@ _START_NODES = 17
 _BLOCK_NODES = 1 << 17
 _NEWTON_STEPS = 500
 _EPS = float(np.finfo(float).eps)
-# Bound on the cross terms of X @ T under which _stream takes it as separable.
+# Largest _separation_bound at which carleman_integrals sums per axis (below exp's rounding).
 _CROSS_TOL = _EPS / 4.0
 # Predicted Newton gain, in units of the exponent, below which the peak is final.
 _NEWTON_TOL = 1e-9
@@ -356,10 +356,10 @@ def _exponent_factors(p: _Point, s, slope, offsets, params: WeightParams, a, K):
     expm1/log1p remainders of the offsets in ``log x1`` and ``log r`` for
     ``phi``, and edge distances for ``log b``.
 
-    ``_stream`` relies on the layout: ``X[:, 0]`` is space alone and ``T[1]``
-    time alone, ``X[:, 1]`` and ``T[0]`` are ones, and columns (rows) 2.. are
-    the cross terms ``2a dphi (x) dlam``, ``2 x.offsets (x) dt/(8 t t0)`` and
-    ``-|offsets|^2 (x) 1/(8t)``.  ``X`` is in Fortran order: columns are contiguous.
+    The layout, which ``_separation_bound`` uses: ``X[:, 0]`` is space alone
+    and ``T[1]`` time alone, ``X[:, 1]`` and ``T[0]`` ones, and columns (rows)
+    2.. the cross terms ``2a dphi (x) dlam``, ``2 x.offsets (x) dt/(8 t t0)``
+    and ``-|offsets|^2 (x) 1/(8t)``; ``X`` is Fortran-ordered (columns contiguous).
     """
     dim = len(offsets) - 1
     spatial = _tensor_sum([2.0 * _log_b_rest(offsets[j], p.lo_gap[j], p.hi_gap[j], s[j])
@@ -410,6 +410,78 @@ def _exponent_factors(p: _Point, s, slope, offsets, params: WeightParams, a, K):
         1.0 / (8.0 * t),
     ])
     return np.maximum(X, _LOG_ZERO, out=X), np.maximum(T, _LOG_ZERO, out=T)
+
+
+def _separation_bound(p: _Point, offsets, params: WeightParams, a, K) -> float:
+    """Bound on ``|F(p + o) - F(p) - sum_j f_j(o_j)|`` over the tensor grid of ``offsets``.
+
+    ``f_j`` is the exponent along axis ``j`` alone.  By ``_exponent_factors``'
+    layout the gap is ``2a (t0^-K - 1) N + 2a dphi dlam + (2 x.o + |o|^2)
+    dt/(8 t t0)``, with ``N = phi(x+o) - sum_j phi(x + o_j e_j) + (dim-1) phi(x)``.
+    Write ``phi(x+o) = head (1+u)^m (1+rho)^beta - tail (1+rho)^(alpha/2)``,
+    ``beta = (alpha-m)/2``, ``u = o_1/x_1``, ``rho = sum_j rho_j``, ``rho_j =
+    (2 x_j o_j + o_j^2)/|x|^2``.  For ``A = (1+.)^m`` and ``G = (1+.)^beta``,
+    head's part of ``N`` is ``(A(u) - 1)(G(rho) - G(rho_1)) + [G(rho) - sum_j
+    G(rho_j) + dim - 1]``, and mixed differences (``G(a+b) - G(a) - G(b) +
+    G(0)`` is ``G''`` integrated over ``[0,a]x[0,b]``) bound the bracket, by
+    induction over the axes, by ``G2 sum_{i<j} P_i P_j``:
+
+        |N| <= head (A1 G1 U sum_{j>=2} P_j + G2 sum_{i<j} P_i P_j) + tail Gr2 sum_{i<j} P_i P_j
+
+    with ``U = max|u|``, ``P_j = max|rho_j|`` and ``A_k``, ``G_k``, ``Gr_k``
+    bounds on the k-th derivatives of ``(1+.)^m``, ``(1+.)^beta`` and
+    ``(1+.)^(alpha/2)`` over every partial sum of the ``rho_j``.  By the mean
+    value theorem ``|dphi| <= head (A1 G0 U + G1 sum P) + tail Gr1 sum P``, and
+    ``|2 x.o + |o|^2| = |x|^2 |rho|``: ``O(sum_j n_j)`` work, no exponent built.
+    """
+    dim = len(offsets) - 1
+    m, alpha, beta = params.m, params.alpha, (params.alpha - params.m) / 2.0
+    xs, t0, dt = p.x[:dim], float(p.x[dim]), offsets[dim]
+    r2 = float(xs @ xs)
+    o = [np.append(offsets[j], 0.0) for j in range(dim)]  # each range holds the zero offset
+    rho = [(2.0 * xs[j] + o[j]) * o[j] / r2 for j in range(dim)]
+    P = [float(np.max(np.abs(v))) for v in rho]
+    rho_range = (sum(float(np.min(v)) for v in rho), sum(float(np.max(v)) for v in rho))
+    u_range = (float(np.min(o[0])) / xs[0], float(np.max(o[0])) / xs[0])
+
+    def deriv(c, k, z=rho_range):
+        """Bound on the k-th derivative of ``(1+z)^c`` over the range ``z``."""
+        return abs(math.prod(c - i for i in range(k))) * max((1.0 + v) ** (c - k) for v in z)
+
+    head = math.pow(xs[0], m) * math.pow(r2, beta)
+    tail = math.pow(params.epsilon, m) * math.pow(r2, alpha / 2.0)
+    U, P_sum, A1 = max(-u_range[0], u_range[1]), sum(P), deriv(m, 1, u_range)
+    pairs = sum(P[i] * P[j] for i, j in itertools.combinations(range(dim), 2))
+    G, Gr = ([deriv(c, k) for k in range(3)] for c in (beta, alpha / 2.0))
+    N = head * (A1 * G[1] * U * (P_sum - P[0]) + G[2] * pairs) + tail * Gr[2] * pairs
+    dphi = head * (A1 * G[0] * U + G[1] * P_sum) + tail * Gr[1] * P_sum
+    amp = math.pow(t0, -K)
+    dlam = float(np.max(np.abs(amp * np.expm1(-K * np.log1p(dt / t0)))))
+    dt_gauss = float(np.max(np.abs(dt / (8.0 * (t0 + dt) * t0))))
+    return 2.0 * a * (abs(amp - 1.0) * N + dphi * dlam) + r2 * P_sum * dt_gauss
+
+
+def _axis_sums(f, w, g, h, scale: float) -> tuple[float, float]:
+    """Both sides where the exponent is ``sum_j f_j``, from 1-D sums alone.
+
+    ``f[j]``, ``w[j]``, ``g[j]`` and ``h[j]`` are axis ``j``'s exponents,
+    weights and payload slopes (``_log_b_slopes``), time last.  The weight
+    ``prod_j w_j exp(f_j)`` factors, so ``lhs`` is the coefficient of ``z``
+    in ``prod_j (A_j + B_j z)`` and ``rhs`` twice that of ``z^2`` in
+    ``prod_j (A_j + M1_j z + M2_j z^2/2)``, where ``A_j, B_j, M1_j, M2_j``
+    sum ``w_j exp(f_j)`` times ``1, g_j^2, h_j, h_j^2`` over axis ``j``;
+    on the time axis ``B = A/scale^2`` and ``g_t`` stands for ``h_t``, as
+    the right payload is ``(g_t + sum_j h_j)^2``.  ``O(sum_j n_j)`` work.
+    """
+    e = [wj * np.exp(np.maximum(fj, _EXP_FLOOR)) for fj, wj in zip(f, w)]
+    A = [float(np.sum(ej)) for ej in e]
+    B = [float(ej @ (gj * gj)) for ej, gj in zip(e[:-1], g)] + [(1.0 / scale) ** 2 * A[-1]]
+    # the coefficients of prod_j sum_k factors[j][k] z^k up to the factors' degree
+    product = functools.partial(functools.reduce, lambda out, f: [
+        sum(out[k - i] * f[i] for i in range(k + 1)) for k in range(len(out))])
+    return (product(list(zip(A, B)))[1],
+            2.0 * product([(Aj, float(ej @ hj), 0.5 * float(ej @ (hj * hj)))
+                           for Aj, ej, hj in zip(A, e, [*h[:-1], g[-1]])])[2])
 
 
 def _exponent_step(p: _Point, s, slope, delta, params, a, K) -> float:
@@ -583,20 +655,9 @@ def _axis_rule(n: int, sigma: float, below: float, above: float, drop):
 
 
 def _stream(X, T, R) -> np.ndarray:
-    """``exp(max(X @ T, _EXP_FLOOR)) @ R`` for factors in ``_exponent_factors``' layout.
-
-    Where the cross terms can move no exponent by more than a quarter of the
-    float64 epsilon (as at a concentrated peak), each weight moves by less
-    than the rounding of ``exp``, so the result is the separable
-    ``exp(X[:, 0]) (exp(T[1]) @ R)``.  Otherwise a block of
-    ``_BLOCK_NODES // T.shape[1]`` rows of ``X`` (at least one) is taken at a
-    time, one product over the whole time axis, so the exponents take at
-    most ``max(_BLOCK_NODES, T.shape[1])`` doubles whatever the grid.
-    """
-    cross = np.max(np.abs(X[:, 2:]), axis=0) @ np.max(np.abs(T[2:]), axis=1)
-    if cross <= _CROSS_TOL:
-        space = np.exp(np.maximum(X[:, 0], _EXP_FLOOR))
-        return space[:, None] * (np.exp(np.maximum(T[1], _EXP_FLOOR)) @ R)
+    """``exp(max(X @ T, _EXP_FLOOR)) @ R`` over blocks of ``_BLOCK_NODES // T.shape[1]``
+    rows of ``X`` (at least one), each one product over the whole time axis, so
+    the exponents take at most ``max(_BLOCK_NODES, T.shape[1])`` doubles."""
     block = max(1, _BLOCK_NODES // T.shape[1])
     out = np.empty((X.shape[0], R.shape[1]))
     for i in range(0, X.shape[0], block):
@@ -676,10 +737,10 @@ def carleman_integrals(
     (``_axis_rule``), graded by a sinh map from the Laplace width
     ``sigma_i`` out to the edge of the support.  The integrand is evaluated
     as ``exp(F - F*)`` times the payloads divided by ``u^2``, expanded about
-    the peak, separably where the peak is concentrated and streamed over
-    blocks of spatial nodes otherwise (``_stream``).  ``lhs`` and ``rhs``
-    are reported relative to ``exp(log_scale)``, the left integrand's
-    Laplace scale (see CarlemanReport).
+    the peak: per axis (``_axis_sums``) where ``_separation_bound`` keeps it
+    within ``_CROSS_TOL`` of its one-axis parts, and otherwise streamed over
+    blocks of spatial nodes (``_stream``).  ``lhs`` and ``rhs`` are reported
+    relative to ``exp(log_scale)``, the left integrand's Laplace scale (see CarlemanReport).
 
     For the default bump the peak is resolved up to ``K`` near 428 (for
     ``a = 10``; 431 for ``a = 0.1``), where Newton's time curvature
@@ -712,9 +773,8 @@ def carleman_integrals(
     log_scale = float(peak.value + 2.0 * math.log(scale) + np.sum(np.log(peak.sigma)))
 
     def drop(axis, g):
-        """The exponent's fall along the axis at offsets g from the peak."""
-        offsets = [np.zeros(1)] * (dim + 1)
-        offsets[axis] = g
+        """The exponent's fall along the axis alone at offsets g from the peak."""
+        offsets = [g if i == axis else np.zeros(1) for i in range(dim + 1)]
         X, T = _exponent_factors(p, s, peak.slope, offsets, params, a, K)
         return (X @ T).ravel()
 
@@ -722,24 +782,24 @@ def carleman_integrals(
                                         float(p.lo_gap[i]), float(p.hi_gap[i]),
                                         functools.partial(drop, i))
                              for i in range(dim + 1)))
-    w_x = math.prod((_axis_view(weights[i] / peak.sigma[i], i, dim) for i in range(dim)),
-                    start=np.ones([1] * dim)).ravel()
-    w_t = weights[dim] / peak.sigma[dim]
+    w = [weights[i] / peak.sigma[i] for i in range(dim + 1)]
 
-    # Exponent factors and payload slopes over u, all about the peak.
-    # Where the ratio is below the float64 range, rhs overflows to inf.
+    # Payload slopes over u and the exponent, all about the peak.  Where the
+    # ratio is below the float64 range, rhs overflows to inf.
     with np.errstate(over="ignore"):
-        X, T = _exponent_factors(p, s, peak.slope, offsets, params, a, K)
-        g_x, h_x = zip(*(_log_b_slopes(p.lo_gap[i] + offsets[i], p.hi_gap[i] - offsets[i],
-                                       s[i], scale) for i in range(dim)))
-        g_t, _ = _log_b_slopes(p.lo_gap[dim] + offsets[dim], p.hi_gap[dim] - offsets[dim],
-                               s[dim], scale)
-        H = _tensor_sum(h_x).ravel()
-        S = _stream(X, T, np.column_stack([w_t, w_t * g_t, w_t * g_t * g_t]))
-        grad = _tensor_sum([g * g for g in g_x]).ravel()
-        amp2 = u.amplitude * u.amplitude
-        lhs = amp2 * float(w_x @ (((1.0 / scale) ** 2 + grad) * S[:, 0]))
-        rhs = amp2 * float(w_x @ ((H * S[:, 0] + 2.0 * S[:, 1]) * H + S[:, 2]))
+        g, h = zip(*(_log_b_slopes(p.lo_gap[i] + offsets[i], p.hi_gap[i] - offsets[i],
+                                   s[i], scale) for i in range(dim + 1)))
+        if _separation_bound(p, offsets, params, a, K) <= _CROSS_TOL:
+            lhs, rhs = _axis_sums([drop(i, offsets[i]) for i in range(dim + 1)], w, g, h, scale)
+        else:
+            X, T = _exponent_factors(p, s, peak.slope, offsets, params, a, K)
+            w_x = functools.reduce(np.multiply.outer, w[:dim]).ravel()
+            H = _tensor_sum(h[:dim]).ravel()
+            S = _stream(X, T, np.column_stack([w[dim], w[dim] * g[dim], w[dim] * g[dim] * g[dim]]))
+            grad = _tensor_sum([gi * gi for gi in g[:dim]]).ravel()
+            lhs = float(w_x @ (((1.0 / scale) ** 2 + grad) * S[:, 0]))
+            rhs = float(w_x @ ((H * S[:, 0] + 2.0 * S[:, 1]) * H + S[:, 2]))
+    lhs, rhs = (u.amplitude * u.amplitude * v for v in (lhs, rhs))
     ratio = lhs / rhs if rhs > 0.0 else 0.0
     return CarlemanReport(a=a, K=K, lhs=lhs, rhs=rhs, ratio=ratio, grid=grid,
                           passed=bool(lhs <= rhs), log_scale=log_scale)

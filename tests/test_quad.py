@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -425,111 +426,202 @@ class TestStream:
 
 
 
-def separable_layout(rng, rows, cols, cross, terms=3):
-    """Factors in ``_exponent_factors``' layout whose cross-term bound is ``cross``.
+def record_paths(monkeypatch):
+    """Log which path each ``carleman_integrals`` call takes: per axis or streamed."""
+    import carleman_cone.quad as quad_mod
 
-    The space and time parts are quarter-integers, so ``X[:, 0] + T[1]`` is
-    exact in any summation order; the first five rows sit below the floor
-    whatever the time node.  Each cross column of ``X`` peaks at 1 in
-    absolute value, the first ``terms`` cross rows of ``T`` at
-    ``cross / terms`` and the others are zero; with one term the bound is
-    ``cross`` exactly.
-    """
-    X = np.empty((rows, 5), order="F")
-    X[:, 0] = rng.integers(-80, 1, rows) / 4.0
-    X[:5, 0] = rng.integers(-3040, -2804, 5) / 4.0
-    X[:, 1] = 1.0
-    X[:, 2:] = rng.uniform(-1.0, 1.0, (rows, 3))
-    X[:, 2:] /= np.max(np.abs(X[:, 2:]), axis=0)
-    T = np.zeros((5, cols))
-    T[0] = 1.0
-    T[1] = rng.integers(-20, 1, cols) / 4.0
-    T[2:2 + terms] = rng.uniform(-1.0, 1.0, (terms, cols))
-    T[2:2 + terms] /= np.max(np.abs(T[2:2 + terms]), axis=1)[:, None]
-    T[2:2 + terms] *= cross / terms
-    return X, T
+    paths = []
+    for name, label in (("_axis_sums", "per-axis"), ("_stream", "streamed")):
+        def logged(*args, real=getattr(quad_mod, name), label=label):
+            paths.append(label)
+            return real(*args)
+
+        monkeypatch.setattr(quad_mod, name, logged)
+    return paths
+
+
+def record_bounds(monkeypatch):
+    """Log each ``_separation_bound`` call as (point, offsets, bound)."""
+    import carleman_cone.quad as quad_mod
+
+    calls = []
+    real = quad_mod._separation_bound
+
+    def logged(p, offsets, params, a, K):
+        calls.append((p, offsets, real(p, offsets, params, a, K)))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(quad_mod, "_separation_bound", logged)
+    return calls
+
+
+OFF_AXIS = BumpFunction(amplitude=1.0, center=(4.0, 1.5, 0.5), radii=(0.8, 0.8, 0.3))
 
 
 class TestSeparableStream:
-    """Where the cross terms are below a quarter epsilon, _stream drops them."""
+    """Where the exponent separates by axis, both sides are products of 1-D sums."""
 
     @pytest.mark.parametrize("fraction", [0.0, 0.5, 0.9])
     @pytest.mark.parametrize("rows, cols", [(40, 9), (7, 1), (6, 12)])
     def test_matches_dense_product(self, fraction, rows, cols):
+        # _axis_sums against the dense sum of the same separable integrand
+        # over the tensor grid, ``rows`` nodes per spatial axis and ``cols``
+        # time nodes; quarter-integer exponents sum exactly in any order, and
+        # the first ``fraction`` of each axis's nodes sit below the floor
         import carleman_cone.quad as quad_mod
 
         rng = np.random.default_rng(100 * rows + cols)
-        X, T = separable_layout(rng, rows, cols, fraction * quad_mod._CROSS_TOL)
-        R = rng.uniform(0.1, 1.0, (cols, 3))
-        dense = np.exp(np.maximum(X @ T, quad_mod._EXP_FLOOR)) @ R
-        # a node at the floor weighs at most exp(_EXP_FLOOR) in either form
-        floor = math.exp(quad_mod._EXP_FLOOR) * float(np.max(R.sum(axis=0)))
-        np.testing.assert_allclose(quad_mod._stream(X, T, R), dense, rtol=1e-15, atol=floor)
+        for dim in (2, 3):
+            sizes = [rows] * dim + [cols]
+            f = [rng.integers(-80, 1, n) / 4.0 for n in sizes]
+            for fj in f:
+                fj[:int(fraction * fj.size)] = rng.integers(-3040, -2804) / 4.0
+            w, g, h = ([rng.uniform(lo, 1.0, n) for n in sizes] for lo in (0.1, -3.0, -3.0))
+            scale = 1.7
+            tensor = quad_mod._tensor_sum
+            weight = (np.exp(np.maximum(tensor(f), quad_mod._EXP_FLOOR))
+                      * functools.reduce(np.multiply.outer, w))
+            grad = tensor([gj * gj for gj in g[:dim]] + [np.zeros(cols)])
+            lap = tensor(h[:dim] + [g[dim]])  # u_t/u + lap u/u, both over scale
+            dense = (float(np.sum(weight * ((1.0 / scale) ** 2 + grad))),
+                     float(np.sum(weight * lap * lap)))
+            # a node below the floor weighs at most exp(_EXP_FLOOR) in either
+            # form, far below the tolerance
+            for got, want in zip(quad_mod._axis_sums(f, w, g, h, scale), dense):
+                assert got == pytest.approx(want, rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("above", [False, True])
-    def test_switches_at_the_bound(self, above):
+    def test_switches_at_the_bound(self, above, monkeypatch):
+        # a concentrated request's own bound one ulp above _CROSS_TOL streams;
+        # at it or one ulp below, the request goes per axis
         import carleman_cone.quad as quad_mod
 
-        rng = np.random.default_rng(7)
-        bound = quad_mod._CROSS_TOL
-        X, T = separable_layout(rng, 30, 8, np.nextafter(bound, 1.0) if above else bound, 1)
-        R = rng.uniform(0.1, 1.0, (8, 3))
-        # a ones column of 2 breaks the layout where only the streamed
-        # product reads it: streamed, the time part counts twice
-        X[:, 1] = 2.0
-        space = np.exp(np.maximum(X[:, 0], quad_mod._EXP_FLOOR))[:, None]
-        separable = space * (np.exp(np.maximum(T[1], quad_mod._EXP_FLOOR)) @ R)
-        streamed = np.exp(np.maximum(X @ T, quad_mod._EXP_FLOOR)) @ R
-        expected, other = (streamed, separable) if above else (separable, streamed)
-        got = quad_mod._stream(X, T, R)
-        np.testing.assert_allclose(got[5:], expected[5:], rtol=1e-13)
-        assert not np.allclose(got[5:], other[5:], rtol=1e-3)
+        grid = GridSpec.from_support(BUMP, 21)
+        bounds = record_bounds(monkeypatch)
+        carleman_integrals(BUMP, PARAMS, 1.0, 60.0, grid)
+        bound = bounds[0][-1]
+        paths = record_paths(monkeypatch)
+        for tol in ([np.nextafter(bound, 0.0)] if above else [bound, np.nextafter(bound, 1.0)]):
+            monkeypatch.setattr(quad_mod, "_CROSS_TOL", tol)
+            carleman_integrals(BUMP, PARAMS, 1.0, 60.0, grid)
+        assert paths == (["streamed"] if above else ["per-axis", "per-axis"])
 
     @pytest.mark.parametrize("dim, n, K, separable", [
         (2, 41, 60.0, True), (3, 21, 60.0, True), (2, 41, 0.5, False), (3, 21, 0.5, False),
+        (2, 41, 50.0, False),  # bounds 2e-15 to 2e-14: not yet below exp's rounding
     ])
     def test_concentrated_peak_takes_the_separable_path(self, dim, n, K, separable,
                                                          monkeypatch):
-        import carleman_cone.quad as quad_mod
-
-        calls = []
-        real = quad_mod._stream
-
-        def recording(X, T, R):
-            calls.append((X, T, R, real(X, T, R)))
-            return calls[-1][-1]
-
-        monkeypatch.setattr(quad_mod, "_stream", recording)
+        paths = record_paths(monkeypatch)
         u = BUMP if dim == 2 else BUMP3
         for a in (0.1, 1.0, 10.0):
             carleman_integrals(u, PARAMS, a, K, GridSpec.from_support(u, n))
-        assert len(calls) == 3
-        floor = quad_mod._EXP_FLOOR
-        for X, T, R, out in calls:
-            product = (np.exp(np.maximum(X[:, 0], floor))[:, None]
-                       * (np.exp(np.maximum(T[1], floor)) @ R))
-            if separable:
-                assert np.array_equal(out, product)
-            else:
-                assert not np.allclose(out, product, rtol=1e-3)
+        assert paths == ["per-axis" if separable else "streamed"] * 3
 
-    @pytest.mark.parametrize("dim, n", [(2, 161), (3, 41)])
+    @pytest.mark.parametrize("dim, n", [(2, 161), (3, 41), (2, 2), (2, 3), (2, 41),
+                                        (3, 2), (3, 3)])
     def test_separable_agrees_with_streamed_on_benchmark_inputs(self, dim, n, monkeypatch):
         # the concentrated and dim3 cases of the quadrature workload (BUMP
-        # and BUMP3 are the CLI's default bumps), with the streamed path
-        # forced by a cross-term bound no input meets
+        # and BUMP3 are the CLI's default bumps), also at larger K and at
+        # the smallest counts, with the streamed path forced by a bound no
+        # input meets
         import carleman_cone.quad as quad_mod
 
         u = BUMP if dim == 2 else BUMP3
         grid = GridSpec.from_support(u, n)
+        paths = record_paths(monkeypatch)
+        for K in (60.0, 120.0, 200.0):
+            for a in (0.1, 1.0, 10.0):
+                separable = carleman_integrals(u, PARAMS, a, K, grid)
+                with monkeypatch.context() as patch:
+                    patch.setattr(quad_mod, "_CROSS_TOL", -1.0)
+                    streamed = carleman_integrals(u, PARAMS, a, K, grid)
+                assert paths[-2:] == ["per-axis", "streamed"]
+                assert separable.passed == streamed.passed
+                for field in ("lhs", "rhs", "ratio", "log_scale"):
+                    assert getattr(separable, field) == pytest.approx(getattr(streamed, field),
+                                                                      rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("dim, n", [(2, 41), (3, 21)])
+    @pytest.mark.parametrize("K", [0.5, 30.0, 60.0, 200.0])
+    def test_full_tensor_residual_within_the_bound(self, dim, n, K, monkeypatch):
+        # F - F* on the whole tensor grid minus its one-axis restrictions,
+        # wherever a node carries weight (F - F* > -40), is within the
+        # docstring's bound plus the rounding of the terms it sums: at a
+        # concentrated peak (K >= 60) below _CROSS_TOL, elsewhere of order 1.
+        # With the time offsets zero only phi's non-separable part is left.
+        import carleman_cone.quad as quad_mod
+
+        u = BUMP if dim == 2 else BUMP3
+        s = np.array(u.radii)
+        peaks = []
+        real = quad_mod._find_peak
+        monkeypatch.setattr(quad_mod, "_find_peak",
+                            lambda *args: peaks.append(real(*args)) or peaks[-1])
+        bounds = record_bounds(monkeypatch)
+        for a in (0.0, 0.1, 1.0, 10.0):
+            carleman_integrals(u, PARAMS, a, K, GridSpec.from_support(u, n))
+            (p, offsets, bound), slope = bounds[-1], peaks[-1].slope
+            assert (bound <= quad_mod._CROSS_TOL) == (a > 0.0 and K >= 60.0)
+            self.check_residual(p, s, slope, offsets, bound, a, K)
+            spatial = [*offsets[:dim], np.zeros(1)]
+            self.check_residual(p, s, slope, spatial,
+                                quad_mod._separation_bound(p, spatial, PARAMS, a, K), a, K)
+
+    @staticmethod
+    def check_residual(p, s, slope, offsets, bound, a, K):
+        import carleman_cone.quad as quad_mod
+
+        dim = len(offsets) - 1
+        X, T = quad_mod._exponent_factors(p, s, slope, offsets, PARAMS, a, K)
+        full = (X @ T).reshape([len(o) for o in offsets])
+        parts = []
+        for j in range(dim + 1):
+            one_axis = [o if i == j else np.zeros(1) for i, o in enumerate(offsets)]
+            Xj, Tj = quad_mod._exponent_factors(p, s, slope, one_axis, PARAMS, a, K)
+            parts.append(quad_mod._axis_view((Xj @ Tj).ravel(), j, dim + 1))
+        residual = np.abs(full - sum(parts))
+        rounding = 4.0 * quad_mod._EPS * (np.abs(full) + sum(np.abs(f) for f in parts))
+        weighted = full > -40.0
+        assert np.all(residual[weighted] <= bound + rounding[weighted])
+
+    def test_off_axis_bump_separates_too(self, monkeypatch):
+        # off the x1 axis the peak is concentrated at the x2 edge as well, so
+        # at K = 60 it separates and agrees with the streamed path; at K = 30
+        # the bound (~2e-7) sends it to the streamed path
+        import carleman_cone.quad as quad_mod
+
+        grid = GridSpec.from_support(OFF_AXIS, 161)
+        paths = record_paths(monkeypatch)
         for a in (0.1, 1.0, 10.0):
-            separable = carleman_integrals(u, PARAMS, a, 60.0, grid)
+            separable = carleman_integrals(OFF_AXIS, PARAMS, a, 60.0, grid)
             with monkeypatch.context() as patch:
                 patch.setattr(quad_mod, "_CROSS_TOL", -1.0)
-                streamed = carleman_integrals(u, PARAMS, a, 60.0, grid)
-            for field in ("lhs", "rhs", "ratio", "log_scale"):
-                assert getattr(separable, field) == pytest.approx(getattr(streamed, field),
-                                                                  rel=1e-13, abs=0.0)
+                streamed = carleman_integrals(OFF_AXIS, PARAMS, a, 60.0, grid)
+            assert separable.ratio == pytest.approx(streamed.ratio, rel=1e-13, abs=0.0)
+        assert paths == ["per-axis", "streamed"] * 3
+        carleman_integrals(OFF_AXIS, PARAMS, 1.0, 30.0, grid)
+        assert paths[-1] == "streamed"
+
+    @pytest.mark.parametrize("dim, n", [(2, 161), (3, 41)])
+    def test_concentrated_requests_build_no_tensor(self, dim, n, monkeypatch):
+        # on the benchmark's concentrated inputs every exponent is built on
+        # one axis at a time: O(sum of the counts), not the n^dim tensor
+        import carleman_cone.quad as quad_mod
+
+        sizes = []
+        real = quad_mod._exponent_factors
+
+        def counting(p, s, slope, offsets, *args):
+            sizes.append([len(o) for o in offsets])
+            return real(p, s, slope, offsets, *args)
+
+        monkeypatch.setattr(quad_mod, "_exponent_factors", counting)
+        u = BUMP if dim == 2 else BUMP3
+        for a in (0.1, 1.0, 10.0):
+            carleman_integrals(u, PARAMS, a, 60.0, GridSpec.from_support(u, n))
+        assert sizes and all(math.prod(axes) == max(axes) for axes in sizes)
+        assert sum(axes.count(n) for axes in sizes) >= 3 * (dim + 1)  # the rules' nodes
 
 
 class TestRemainders:
