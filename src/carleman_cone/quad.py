@@ -25,8 +25,12 @@ Laplace width out to the end of the bump's support; ``F - F*``
 is evaluated as an expansion about the peak whose terms keep their
 relative precision; and both sides are accumulated against the same
 ``exp(F - F*)``, as 1-D sums where it splits by axis (a concentrated peak) and
-otherwise streamed over blocks of spatial nodes, each against all time nodes
-in one matrix product.  ``lhs`` and ``rhs`` are relative to ``exp(CarlemanReport.log_scale)``.
+otherwise over slabs of axis 0 of at most ``_BLOCK_NODES`` spatial nodes,
+each streamed over blocks against all time nodes in one matrix product, so
+no array of the whole spatial tensor is built.  One evaluator
+(``_exponent_factors``) takes broadcasting offsets: a slab's axes, or a
+"star" of every axis's 1-D offsets at once.  ``lhs`` and ``rhs`` are
+relative to ``exp(CarlemanReport.log_scale)``.
 
 The requested ``GridSpec`` sets the rule's node counts; Newton's method
 starts from the best node of a fixed lattice of ``_START_NODES`` per axis
@@ -342,14 +346,17 @@ def _log_b_slopes(lo_gap, hi_gap, s, scale: float):
     return (np.where(inside, scaled, 0.0), np.where(inside, slope * scaled + curvature, 0.0))
 
 
-def _exponent_factors(p: _Point, s, slope, offsets, params: WeightParams, a, K):
-    """Factor ``F(p + offsets) - F(p)`` on the tensor grid of ``offsets`` as ``X @ T``.
+def _exponent_factors(p: _Point, s, slope, x_offsets, dt, params: WeightParams, a, K):
+    """Factor ``F(p + (x_offsets, dt)) - F(p)`` as ``X @ T``.
 
-    ``offsets`` holds one array per axis (time last); ``X`` has one row per
-    spatial node (C order) and ``T`` one column per time offset.  Near a
-    concentrated peak ``L`` is ~1e43 with ~1e27 of rounding error, and even
-    its first-order change over one Laplace width is ~1e11, cancelled by
-    ``2 log B`` down to a structure of order one.  So ``F`` is expanded as
+    ``x_offsets`` holds one array per spatial axis, arrays that broadcast
+    with one another as in ``weights.phi_eval``: ``np.ix_`` views for a
+    tensor grid, or flat arrays of one length for a list of points.  ``X``
+    has one row per element of their broadcast shape (C order) and ``T``
+    one column per time offset in ``dt``.  Near a concentrated peak ``L``
+    is ~1e43 with ~1e27 of rounding error, and even its first-order change
+    over one Laplace width is ~1e11, cancelled by ``2 log B`` down to a
+    structure of order one.  So ``F`` is expanded as
     ``slope . offsets`` plus second-order remainders, each in closed form
     that keeps its relative precision: ``t0^-K (expm1(y) - y + K (u -
     log1p(u)))`` with ``u = dt/t0`` for the amplification, the same
@@ -361,23 +368,22 @@ def _exponent_factors(p: _Point, s, slope, offsets, params: WeightParams, a, K):
     2.. the cross terms ``2a dphi (x) dlam``, ``2 x.offsets (x) dt/(8 t t0)``
     and ``-|offsets|^2 (x) 1/(8t)``; ``X`` is Fortran-ordered (columns contiguous).
     """
-    dim = len(offsets) - 1
-    spatial = _tensor_sum([2.0 * _log_b_rest(offsets[j], p.lo_gap[j], p.hi_gap[j], s[j])
-                           + slope[j] * offsets[j] for j in range(dim)]).ravel()
-    dt = offsets[dim]
+    dim = len(x_offsets)
+    spatial = sum(2.0 * _log_b_rest(o, p.lo_gap[j], p.hi_gap[j], s[j]) + slope[j] * o
+                  for j, o in enumerate(x_offsets)).ravel()
     time_part = 2.0 * _log_b_rest(dt, p.lo_gap[dim], p.hi_gap[dim], s[dim]) + slope[dim] * dt
     m, alpha = params.m, params.alpha
     xs = p.x[:dim]
     r2 = float(xs @ xs)
     r = math.sqrt(r2)
-    # x.offsets, |offsets|^2 and r^2/r0^2 - 1 over the spatial grid
-    dot = _tensor_sum([xs[j] * offsets[j] for j in range(dim)])
-    sq = _tensor_sum([o * o for o in offsets[:dim]])
+    # x.offsets, |offsets|^2 and r^2/r0^2 - 1 over the offsets' broadcast shape
+    dot = sum(xs[j] * o for j, o in enumerate(x_offsets))
+    sq = sum(o * o for o in x_offsets)
     rho = (2.0 * dot + sq) / r2
     log1p_rho = np.log1p(rho)
     log_r = 0.5 * log1p_rho
     log_r_rest = 0.5 * (_log1p_rest(rho, log1p_rho) + sq / r2)  # log(r/r0) - x.offsets/r0^2
-    u1 = _axis_view(offsets[0] / xs[0], 0, dim)
+    u1 = x_offsets[0] / xs[0]
     log1p_u1 = np.log1p(u1)
     y = m * log1p_u1 + (alpha - m) * log_r
     y_rest = m * _log1p_rest(u1, log1p_u1) + (alpha - m) * log_r_rest
@@ -486,8 +492,24 @@ def _axis_sums(f, w, g, h, scale: float) -> tuple[float, float]:
 
 def _exponent_step(p: _Point, s, slope, delta, params, a, K) -> float:
     """``F(p + delta) - F(p)`` for one displacement."""
-    X, T = _exponent_factors(p, s, slope, [np.array([d]) for d in delta], params, a, K)
+    X, T = _exponent_factors(p, s, slope, delta[:-1, None], delta[-1:], params, a, K)
     return float((X @ T)[0, 0])
+
+
+def _axis_exponents(p: _Point, s, slope, parts, params, a, K) -> list[np.ndarray]:
+    """``F(p + o e_j) - F(p)`` at the offsets ``o`` in ``parts[j]`` (time last), from one
+    ``_exponent_factors`` call on a star.
+
+    The star lays the spatial parts end to end, each zero off its own axis,
+    then one all-zero column; the spatial rows are read at ``dt = 0`` and
+    that column's row against the time offsets.
+    """
+    ends = np.cumsum([len(o) for o in parts[:-1]])
+    star = np.zeros((len(ends), ends[-1] + 1))
+    for j, o in enumerate(parts[:-1]):
+        star[j, ends[j] - len(o):ends[j]] = o
+    X, T = _exponent_factors(p, s, slope, star, np.append(0.0, parts[-1]), params, a, K)
+    return [*np.split((X[:-1] @ T[:, :1]).ravel(), ends[:-1]), (X[-1:] @ T[:, 1:]).ravel()]
 
 
 def _exponent_value(p: _Point, s, params, a, K) -> float:
@@ -638,17 +660,17 @@ def _side_extent(length: float, sigma: float, samples: np.ndarray, drops: np.nda
     return min(length, max(extent, math.sqrt(-2.0 * _LOG_FLOOR) * sigma))
 
 
-def _axis_rule(n: int, sigma: float, below: float, above: float, drop):
+def _axis_rule(n: int, sigma: float, below: float, above: float, low, high, drops):
     """Offsets from the peak and weights of one axis's nodes, graded from the peak.
 
     ``below`` and ``above`` are the peak's distances to the lower and upper
-    edges of the bump's support.  Each side gets ``_graded_side`` nodes out
+    edges of the bump's support, and ``low`` and ``high`` their
+    ``_side_samples``.  Each side gets ``_graded_side`` nodes out
     to ``_side_extent``: the lower side ``(n + 1) // 2`` and the upper side
-    ``n // 2``.  ``drop(g)`` is the exponent's fall along the axis at
-    offsets ``g``, called once for both sides.
+    ``n // 2``.  ``drops`` is the exponent's fall along the axis at the
+    offsets ``-low`` then ``high``.
     """
-    low, high = _side_samples(below, sigma), _side_samples(above, sigma)
-    drop_low, drop_high = np.split(drop(np.concatenate([-low, high])), [low.size])
+    drop_low, drop_high = np.split(drops, [low.size])
     g_low, w_low = _graded_side((n + 1) // 2, _side_extent(below, sigma, low, drop_low), sigma)
     g_high, w_high = _graded_side(n // 2, _side_extent(above, sigma, high, drop_high), sigma)
     return np.concatenate([-g_low, g_high]), np.concatenate([w_low, w_high])
@@ -735,11 +757,15 @@ def carleman_integrals(
     the balance point (``_newton_start``).  Each axis is split at the peak,
     and ``grid.counts[i]`` Gauss-Legendre nodes are placed on its two sides
     (``_axis_rule``), graded by a sinh map from the Laplace width
-    ``sigma_i`` out to the edge of the support.  The integrand is evaluated
+    ``sigma_i`` out to the edge of the support or to where the exponent's
+    fall at the ``_side_samples`` passes ``_LOG_FLOOR``; every axis's samples
+    take one ``_axis_exponents`` call.  The integrand is evaluated
     as ``exp(F - F*)`` times the payloads divided by ``u^2``, expanded about
-    the peak: per axis (``_axis_sums``) where ``_separation_bound`` keeps it
-    within ``_CROSS_TOL`` of its one-axis parts, and otherwise streamed over
-    blocks of spatial nodes (``_stream``).  ``lhs`` and ``rhs`` are reported
+    the peak: per axis (``_axis_sums``, on one more ``_axis_exponents`` call)
+    where ``_separation_bound`` keeps it within ``_CROSS_TOL`` of its one-axis
+    parts, and otherwise over slabs of axis 0 of at most ``_BLOCK_NODES``
+    spatial nodes (one row at least), each streamed (``_stream``) and reduced
+    before the next is built.  ``lhs`` and ``rhs`` are reported
     relative to ``exp(log_scale)``, the left integrand's Laplace scale (see CarlemanReport).
 
     For the default bump the peak is resolved up to ``K`` near 428 (for
@@ -772,16 +798,12 @@ def carleman_integrals(
     scale = math.hypot(1.0, *slopes)
     log_scale = float(peak.value + 2.0 * math.log(scale) + np.sum(np.log(peak.sigma)))
 
-    def drop(axis, g):
-        """The exponent's fall along the axis alone at offsets g from the peak."""
-        offsets = [g if i == axis else np.zeros(1) for i in range(dim + 1)]
-        X, T = _exponent_factors(p, s, peak.slope, offsets, params, a, K)
-        return (X @ T).ravel()
-
-    offsets, weights = zip(*(_axis_rule(grid.counts[i], float(peak.sigma[i]),
-                                        float(p.lo_gap[i]), float(p.hi_gap[i]),
-                                        functools.partial(drop, i))
-                             for i in range(dim + 1)))
+    sigma, below, above = peak.sigma.tolist(), p.lo_gap.tolist(), p.hi_gap.tolist()
+    low, high = ([_side_samples(*side) for side in zip(gaps, sigma)] for gaps in (below, above))
+    drops = _axis_exponents(p, s, peak.slope,
+                            [np.concatenate([-down, up]) for down, up in zip(low, high)],
+                            params, a, K)
+    offsets, weights = zip(*map(_axis_rule, grid.counts, sigma, below, above, low, high, drops))
     w = [weights[i] / peak.sigma[i] for i in range(dim + 1)]
 
     # Payload slopes over u and the exponent, all about the peak.  Where the
@@ -790,15 +812,21 @@ def carleman_integrals(
         g, h = zip(*(_log_b_slopes(p.lo_gap[i] + offsets[i], p.hi_gap[i] - offsets[i],
                                    s[i], scale) for i in range(dim + 1)))
         if _separation_bound(p, offsets, params, a, K) <= _CROSS_TOL:
-            lhs, rhs = _axis_sums([drop(i, offsets[i]) for i in range(dim + 1)], w, g, h, scale)
+            lhs, rhs = _axis_sums(_axis_exponents(p, s, peak.slope, offsets, params, a, K),
+                                  w, g, h, scale)
         else:
-            X, T = _exponent_factors(p, s, peak.slope, offsets, params, a, K)
-            w_x = functools.reduce(np.multiply.outer, w[:dim]).ravel()
-            H = _tensor_sum(h[:dim]).ravel()
-            S = _stream(X, T, np.column_stack([w[dim], w[dim] * g[dim], w[dim] * g[dim] * g[dim]]))
-            grad = _tensor_sum([gi * gi for gi in g[:dim]]).ravel()
-            lhs = float(w_x @ (((1.0 / scale) ** 2 + grad) * S[:, 0]))
-            rhs = float(w_x @ ((H * S[:, 0] + 2.0 * S[:, 1]) * H + S[:, 2]))
+            R = np.column_stack([w[dim], w[dim] * g[dim], w[dim] * g[dim] * g[dim]])
+            rows = max(1, _BLOCK_NODES // math.prod(grid.counts[1:dim]))
+            lhs = rhs = 0.0
+            for k in range(0, grid.counts[0], rows):  # slabs of axis 0
+                o, ws, gs, hs = ([v[0][k:k + rows], *v[1:dim]] for v in (offsets, w, g, h))
+                S = _stream(*_exponent_factors(p, s, peak.slope, np.ix_(*o), offsets[dim],
+                                               params, a, K), R)
+                w_x = functools.reduce(np.multiply.outer, ws).ravel()
+                H = _tensor_sum(hs).ravel()
+                grad = _tensor_sum([gi * gi for gi in gs]).ravel()
+                lhs += float(w_x @ (((1.0 / scale) ** 2 + grad) * S[:, 0]))
+                rhs += float(w_x @ ((H * S[:, 0] + 2.0 * S[:, 1]) * H + S[:, 2]))
     lhs, rhs = (u.amplitude * u.amplitude * v for v in (lhs, rhs))
     ratio = lhs / rhs if rhs > 0.0 else 0.0
     return CarlemanReport(a=a, K=K, lhs=lhs, rhs=rhs, ratio=ratio, grid=grid,

@@ -1,9 +1,14 @@
 import functools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import carleman_cone
 from carleman_cone.quad import (
     BumpFunction,
     CarlemanReport,
@@ -152,7 +157,7 @@ class TestCarlemanIntegrals:
         slope, _, _ = _grad_hess(p, s, np.zeros(3), PARAMS, a, K)
         offsets = [np.array([-0.31, 0.0, 0.12]), np.array([-0.25, 0.05, 0.4]),
                    np.array([-0.1, 1e-3, 0.2])]
-        X, T = _exponent_factors(p, s, slope, offsets, PARAMS, a, K)
+        X, T = _exponent_factors(p, s, slope, np.ix_(*offsets[:2]), offsets[2], PARAMS, a, K)
         F = _exponent_value(p, s, PARAMS, a, K) + (X @ T).reshape(3, 3, 3)
 
         def log_b(v, i):
@@ -573,13 +578,9 @@ class TestSeparableStream:
         import carleman_cone.quad as quad_mod
 
         dim = len(offsets) - 1
-        X, T = quad_mod._exponent_factors(p, s, slope, offsets, PARAMS, a, K)
-        full = (X @ T).reshape([len(o) for o in offsets])
-        parts = []
-        for j in range(dim + 1):
-            one_axis = [o if i == j else np.zeros(1) for i, o in enumerate(offsets)]
-            Xj, Tj = quad_mod._exponent_factors(p, s, slope, one_axis, PARAMS, a, K)
-            parts.append(quad_mod._axis_view((Xj @ Tj).ravel(), j, dim + 1))
+        full = tensor_exponent(p, s, slope, offsets, a, K)
+        parts = [quad_mod._axis_view(tensor_exponent(p, s, slope, one_axis(offsets, j), a, K),
+                                     j, dim + 1) for j in range(dim + 1)]
         residual = np.abs(full - sum(parts))
         rounding = 4.0 * quad_mod._EPS * (np.abs(full) + sum(np.abs(f) for f in parts))
         weighted = full > -40.0
@@ -605,23 +606,141 @@ class TestSeparableStream:
 
     @pytest.mark.parametrize("dim, n", [(2, 161), (3, 41)])
     def test_concentrated_requests_build_no_tensor(self, dim, n, monkeypatch):
-        # on the benchmark's concentrated inputs every exponent is built on
-        # one axis at a time: O(sum of the counts), not the n^dim tensor
+        # on the benchmark's concentrated inputs each exponent outside Newton
+        # is built on a star, the spatial offsets end to end plus a zero,
+        # against the time offsets after a zero: first the probes of
+        # _axis_rule (about log2(edge / sigma) per side, whatever the grid),
+        # then the rules' nodes; never the n^dim tensor
         import carleman_cone.quad as quad_mod
 
-        sizes = []
-        real = quad_mod._exponent_factors
-
-        def counting(p, s, slope, offsets, *args):
-            sizes.append([len(o) for o in offsets])
-            return real(p, s, slope, offsets, *args)
-
-        monkeypatch.setattr(quad_mod, "_exponent_factors", counting)
+        calls = record_exponents(monkeypatch)
+        probes = []
+        real = quad_mod._axis_rule
+        monkeypatch.setattr(quad_mod, "_axis_rule",
+                            lambda *args: probes.append(len(args[-1])) or real(*args))
         u = BUMP if dim == 2 else BUMP3
         for a in (0.1, 1.0, 10.0):
+            calls.clear()
+            probes.clear()
             carleman_integrals(u, PARAMS, a, 60.0, GridSpec.from_support(u, n))
-        assert sizes and all(math.prod(axes) == max(axes) for axes in sizes)
-        assert sum(axes.count(n) for axes in sizes) >= 3 * (dim + 1)  # the rules' nodes
+            assert calls == [(sum(probes[:dim]) + 1, probes[dim] + 1), (dim * n + 1, n + 1)]
+
+    @pytest.mark.parametrize("dim, n", [(2, 161), (3, 41)])
+    def test_concentrated_request_builds_its_exponent_twice(self, dim, n, monkeypatch):
+        # the benchmark's concentrated inputs: outside Newton, one call for
+        # every axis's probes and one for every axis's rule, not one of each
+        # per axis
+        calls = record_exponents(monkeypatch)
+        u = BUMP if dim == 2 else BUMP3
+        for a in (0.1, 1.0, 10.0):
+            calls.clear()
+            carleman_integrals(u, PARAMS, a, 60.0, GridSpec.from_support(u, n))
+            assert len(calls) == 2
+
+    @pytest.mark.parametrize("dim, K", [(2, 0.5), (2, 60.0), (3, 0.5), (3, 60.0)])
+    def test_star_equals_one_axis_tensors(self, dim, K, monkeypatch):
+        # _axis_exponents' one star call against _exponent_factors on each
+        # one-axis tensor, bit for bit, at a request's own peak and rule
+        import carleman_cone.quad as quad_mod
+
+        u = BUMP if dim == 2 else BUMP3
+        s = np.array(u.radii)
+        peaks = []
+        real = quad_mod._find_peak
+        monkeypatch.setattr(quad_mod, "_find_peak",
+                            lambda *args: peaks.append(real(*args)) or peaks[-1])
+        bounds = record_bounds(monkeypatch)
+        for a in (0.0, 1.0, 10.0):
+            carleman_integrals(u, PARAMS, a, K, GridSpec.from_support(u, 21))
+            (p, offsets, _), slope = bounds[-1], peaks[-1].slope
+            # unequal lengths per axis, and an axis with no offsets at all
+            for parts in (offsets, [o[:5 + 3 * j] for j, o in enumerate(offsets)],
+                          [np.empty(0), *offsets[1:]]):
+                star = quad_mod._axis_exponents(p, s, slope, parts, PARAMS, a, K)
+                for j, got in enumerate(star):
+                    want = tensor_exponent(p, s, slope, one_axis(parts, j), a, K).ravel()
+                    np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("dim, n, block_nodes", [
+        (2, 41, 100),  # two rows of axis 0 per slab, the last slab one row
+        (3, 21, 1000),  # two rows per slab
+        (3, 21, 300),  # fewer nodes than one row: one row per slab
+    ])
+    def test_slabs_agree_with_one_slab(self, dim, n, block_nodes, monkeypatch):
+        # a resolved request streamed in slabs of axis 0 against the same
+        # request in one slab
+        import carleman_cone.quad as quad_mod
+
+        u = BUMP if dim == 2 else BUMP3
+        grid = GridSpec.from_support(u, n)
+        for a in (0.1, 1.0):
+            whole = carleman_integrals(u, PARAMS, a, 0.5, grid)
+            calls = record_exponents(monkeypatch)
+            monkeypatch.setattr(quad_mod, "_BLOCK_NODES", block_nodes)
+            slabbed = carleman_integrals(u, PARAMS, a, 0.5, grid)
+            monkeypatch.undo()
+            rows = max(1, block_nodes // n ** (dim - 1))
+            assert [size for size, _ in calls[1:]] == [
+                min(rows, n - k) * n ** (dim - 1) for k in range(0, n, rows)]
+            assert slabbed.passed == whole.passed
+            for field in ("lhs", "rhs", "ratio", "log_scale"):
+                assert getattr(slabbed, field) == pytest.approx(getattr(whole, field),
+                                                                rel=1e-13, abs=0.0)
+
+    @pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4")
+    def test_resolved_3d_request_memory_is_bounded(self):
+        # 121^3 spatial nodes: an exponent built on the whole tensor peaks
+        # near 360 MB here, slabs of _BLOCK_NODES near the interpreter's own
+        # ~40 MB.  wait4 reads this child alone; ru_maxrss is in KiB on Linux.
+        src = str(Path(carleman_cone.__file__).resolve().parents[1])
+        cmd = [sys.executable, "-m", "carleman_cone", "quadrature", "--dim", "3",
+               "--grid", "121", "--K", "0.5", "--K-cap", "0.5", "--a", "1"]
+        proc = subprocess.Popen(cmd, stdout=subprocess.DEVNULL,
+                                env={**os.environ, "PYTHONPATH": src})
+        _, status, usage = os.wait4(proc.pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+        assert usage.ru_maxrss / 1024 < 150.0
+
+
+def tensor_exponent(p, s, slope, offsets, a, K):
+    """``_exponent_factors``' product on the tensor grid of ``offsets`` (time last)."""
+    import carleman_cone.quad as quad_mod
+
+    X, T = quad_mod._exponent_factors(p, s, slope, np.ix_(*offsets[:-1]), offsets[-1],
+                                      PARAMS, a, K)
+    return (X @ T).reshape([len(o) for o in offsets])
+
+
+def one_axis(offsets, j):
+    """``offsets`` on axis ``j``, the single offset 0 on every other axis."""
+    return [o if i == j else np.zeros(1) for i, o in enumerate(offsets)]
+
+
+def record_exponents(monkeypatch):
+    """Log each ``_exponent_factors`` call outside ``_find_peak``.
+
+    An entry is (spatial points, time offsets).
+    """
+    import carleman_cone.quad as quad_mod
+
+    calls, in_newton = [], []
+    factors, find_peak = quad_mod._exponent_factors, quad_mod._find_peak
+
+    def logged(p, s, slope, x_offsets, dt, *args):
+        if not in_newton:
+            calls.append((np.broadcast(*x_offsets).size, len(dt)))
+        return factors(p, s, slope, x_offsets, dt, *args)
+
+    def newton(*args):
+        in_newton.append(None)
+        try:
+            return find_peak(*args)
+        finally:
+            in_newton.pop()
+
+    monkeypatch.setattr(quad_mod, "_exponent_factors", logged)
+    monkeypatch.setattr(quad_mod, "_find_peak", newton)
+    return calls
 
 
 class TestRemainders:
