@@ -54,10 +54,14 @@ def sample_cone_points(
 
     Points keep ``h = x1/|x|`` at least ``h_min_offset`` above the boundary
     value so that relative comparisons against the vanishing weight stay
-    meaningful.
+    meaningful.  A cone too narrow for that offset below ``h = 0.999``
+    draws ``h`` from the upper half of ``(epsilon, 1)`` instead.
     """
     eps = params.epsilon
-    h = rng.uniform(eps + h_min_offset, 0.999, size=count)
+    low, high = eps + h_min_offset, 0.999
+    if low > high:
+        low, high = 0.5 * (1.0 + eps), 1.0
+    h = rng.uniform(low, high, size=count)
     r = np.exp(rng.uniform(0.0, math.log(10.0), size=count))
     pts = np.empty((count, dim))
     pts[:, 0] = h * r

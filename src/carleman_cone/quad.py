@@ -29,15 +29,16 @@ otherwise over slabs of axis 0 of at most ``_BLOCK_NODES`` spatial nodes,
 each streamed over blocks against all time nodes in one matrix product, so
 no array of the whole spatial tensor is built.  One evaluator
 (``_exponent_factors``) takes broadcasting offsets: a slab's axes, or a
-"star" of every axis's 1-D offsets at once.  ``lhs`` and ``rhs`` are
-relative to ``exp(CarlemanReport.log_scale)``.
+"star" of every axis's 1-D offsets at once.  Every tensor is a ``sum`` or
+``math.prod`` of ``np.ix_`` views of per-axis arrays.  ``lhs`` and ``rhs``
+are relative to ``exp(CarlemanReport.log_scale)``.
 
 The requested ``GridSpec`` sets the rule's node counts; Newton's method
 starts from the best node of a fixed lattice of ``_START_NODES`` per axis
 over the support, whatever the counts, with ``L`` on the lattice from
-``weights.log_weight``.  An axis whose best node is next to an edge starts
-instead where the slope of ``2 log b`` balances that of ``F``
-(``_newton_start``).
+``weights.log_weight``.  An axis whose best node is the first or last
+inside node starts instead where the slope of ``2 log b`` balances that
+of ``F`` (``_newton_start``).
 """
 
 from __future__ import annotations
@@ -182,12 +183,10 @@ def _fields_on_grid(u: BumpFunction, axes: Sequence[np.ndarray], dim: int):
     bump fields, which the tests use as the reference for the quadrature.
     """
     n_axes = dim + 1
-    b, bp, bpp = [], [], []
-    for i in range(n_axes):
-        bi, bpi, bppi = _bump_factors((axes[i] - u.center[i]) / u.radii[i])
-        b.append(_axis_view(bi, i, n_axes))
-        bp.append(_axis_view(bpi / u.radii[i], i, n_axes))
-        bpp.append(_axis_view(bppi / u.radii[i] ** 2, i, n_axes))
+    factors = [_bump_factors((axes[i] - u.center[i]) / u.radii[i]) for i in range(n_axes)]
+    # the k-th derivative in the axis is the one in z over radius^k
+    b, bp, bpp = (np.ix_(*(f[k] / u.radii[i] ** k for i, f in enumerate(factors)))
+                  for k in range(3))
 
     def times_others(factor, j):
         """``factor`` on axis ``j`` times the bump factors of the other axes."""
@@ -263,21 +262,6 @@ class _Peak:
     sigma: np.ndarray  # Laplace widths, one per axis
     value: float  # F at the peak
     slope: np.ndarray
-
-
-def _axis_view(v: np.ndarray, axis: int, n_axes: int) -> np.ndarray:
-    shape = [1] * n_axes
-    shape[axis] = -1
-    return np.reshape(v, shape)
-
-
-def _tensor_sum(parts: Sequence[np.ndarray]) -> np.ndarray:
-    """``sum_j parts[j][i_j]`` over the tensor grid of the parts."""
-    n = len(parts)
-    out = np.zeros([len(p) for p in parts])
-    for j, p in enumerate(parts):
-        out = out + _axis_view(p, j, n)
-    return out
 
 
 def _log_b(lo_gap, hi_gap, s):
@@ -363,10 +347,11 @@ def _exponent_factors(p: _Point, s, slope, x_offsets, dt, params: WeightParams, 
     expm1/log1p remainders of the offsets in ``log x1`` and ``log r`` for
     ``phi``, and edge distances for ``log b``.
 
-    The layout, which ``_separation_bound`` uses: ``X[:, 0]`` is space alone
-    and ``T[1]`` time alone, ``X[:, 1]`` and ``T[0]`` ones, and columns (rows)
-    2.. the cross terms ``2a dphi (x) dlam``, ``2 x.offsets (x) dt/(8 t t0)``
-    and ``-|offsets|^2 (x) 1/(8t)``; ``X`` is Fortran-ordered (columns contiguous).
+    The layout: ``X[:, 0]`` is space alone and ``T[1]`` time alone,
+    ``X[:, 1]`` and ``T[0]`` ones, and columns (rows) 2.. the cross terms
+    ``2a dphi (x) dlam``, ``2 x.offsets (x) dt/(8 t t0)`` and ``-|offsets|^2
+    (x) 1/(8t)``.  ``_separation_bound``'s derivation, ``_stream``'s product
+    and ``_axis_exponents`` read it; ``X``, stacked by columns, is Fortran-ordered.
     """
     dim = len(x_offsets)
     spatial = sum(2.0 * _log_b_rest(o, p.lo_gap[j], p.hi_gap[j], s[j]) + slope[j] * o
@@ -404,7 +389,7 @@ def _exponent_factors(p: _Point, s, slope, x_offsets, dt, params: WeightParams, 
     dlam = amp * expm1_y_t
     dlam_rest = amp * (_expm1_rest(y_t, expm1_y_t) - K * _log1p_rest(u_t, log1p_u_t))
     # the Gaussian factor's remainder: -(r0^2+K) dt^2/(8 t0^2 t)
-    # + 2 x.offsets dt/(8 t t0) - |offsets|^2/(8t); X, stacked by columns, is Fortran-ordered
+    # + 2 x.offsets dt/(8 t t0) - |offsets|^2/(8t)
     X = np.vstack([spatial + 2.0 * a * (amp - 1.0) * dphi_rest.ravel(), np.ones(spatial.size),
                    2.0 * a * dphi.ravel(), 2.0 * dot.ravel(), -sq.ravel()]).T
     T = np.vstack([
@@ -488,12 +473,6 @@ def _axis_sums(f, w, g, h, scale: float) -> tuple[float, float]:
     return (product(list(zip(A, B)))[1],
             2.0 * product([(Aj, float(ej @ hj), 0.5 * float(ej @ (hj * hj)))
                            for Aj, ej, hj in zip(A, e, [*h[:-1], g[-1]])])[2])
-
-
-def _exponent_step(p: _Point, s, slope, delta, params, a, K) -> float:
-    """``F(p + delta) - F(p)`` for one displacement."""
-    X, T = _exponent_factors(p, s, slope, delta[:-1, None], delta[-1:], params, a, K)
-    return float((X @ T)[0, 0])
 
 
 def _axis_exponents(p: _Point, s, slope, parts, params, a, K) -> list[np.ndarray]:
@@ -605,7 +584,8 @@ def _find_peak(start: _Point, modes, s, params, a, K) -> _Peak:
             q = p.moved(delta)
             if (np.all(np.isfinite(delta)) and np.all(q.lo_gap > 0.0)
                     and np.all(q.hi_gap > 0.0)
-                    and _exponent_step(p, s, gy / jac, delta, params, a, K) > 0.0):
+                    and np.matmul(*_exponent_factors(p, s, gy / jac, delta[:-1, None],
+                                                     delta[-1:], params, a, K))[0, 0] > 0.0):
                 break
             step = 0.5 * step
             with np.errstate(over="ignore", invalid="ignore"):
@@ -713,16 +693,13 @@ def _newton_start(lo, hi, s, params: WeightParams, a, K):
     bump's own slope.  Mode-0 axes keep the lattice start.
     """
     axes = [np.linspace(start, stop, _START_NODES) for start, stop in zip(lo, hi)]
-    F = _tensor_sum([2.0 * _log_b(ax - lo[i], hi[i] - ax, s[i]) for i, ax in enumerate(axes)])
-    views = [_axis_view(ax, i, len(axes)) for i, ax in enumerate(axes)]
-    F += log_weight(views[:-1], views[-1], a, K, params)
+    views = np.ix_(*axes)
+    F = (sum(np.ix_(*(2.0 * _log_b(ax - lo[i], hi[i] - ax, s[i]) for i, ax in enumerate(axes))))
+         + log_weight(views[:-1], views[-1], a, K, params))
     index = np.unravel_index(int(np.argmax(F)), F.shape)
     x = np.array([ax[j] for ax, j in zip(axes, index)])
-    modes = np.zeros(len(axes))
-    for i, j in enumerate(index):
-        inside = np.nonzero((axes[i] > lo[i]) & (axes[i] < hi[i]))[0]
-        if j in (inside[0], inside[-1]):
-            modes[i] = 1.0 if x[i] - lo[i] <= hi[i] - x[i] else -1.0
+    # the end nodes sit on the edges, where F = -inf
+    modes = np.array([1.0 if j == 1 else -1.0 if j == _START_NODES - 2 else 0.0 for j in index])
     point = _Point(x, x - lo, hi - x)
     if not np.any(modes):
         return point, modes
@@ -822,9 +799,9 @@ def carleman_integrals(
                 o, ws, gs, hs = ([v[0][k:k + rows], *v[1:dim]] for v in (offsets, w, g, h))
                 S = _stream(*_exponent_factors(p, s, peak.slope, np.ix_(*o), offsets[dim],
                                                params, a, K), R)
-                w_x = functools.reduce(np.multiply.outer, ws).ravel()
-                H = _tensor_sum(hs).ravel()
-                grad = _tensor_sum([gi * gi for gi in gs]).ravel()
+                w_x = math.prod(np.ix_(*ws)).ravel()
+                H = sum(np.ix_(*hs)).ravel()
+                grad = sum(np.ix_(*(gi * gi for gi in gs))).ravel()
                 lhs += float(w_x @ (((1.0 / scale) ** 2 + grad) * S[:, 0]))
                 rhs += float(w_x @ ((H * S[:, 0] + 2.0 * S[:, 1]) * H + S[:, 2]))
     lhs, rhs = (u.amplitude * u.amplitude * v for v in (lhs, rhs))

@@ -1,4 +1,4 @@
-import functools
+import itertools
 import math
 import os
 import subprocess
@@ -483,11 +483,10 @@ class TestSeparableStream:
                 fj[:int(fraction * fj.size)] = rng.integers(-3040, -2804) / 4.0
             w, g, h = ([rng.uniform(lo, 1.0, n) for n in sizes] for lo in (0.1, -3.0, -3.0))
             scale = 1.7
-            tensor = quad_mod._tensor_sum
-            weight = (np.exp(np.maximum(tensor(f), quad_mod._EXP_FLOOR))
-                      * functools.reduce(np.multiply.outer, w))
-            grad = tensor([gj * gj for gj in g[:dim]] + [np.zeros(cols)])
-            lap = tensor(h[:dim] + [g[dim]])  # u_t/u + lap u/u, both over scale
+            weight = (np.exp(np.maximum(sum(np.ix_(*f)), quad_mod._EXP_FLOOR))
+                      * math.prod(np.ix_(*w)))
+            grad = sum(np.ix_(*(gj * gj for gj in g[:dim]), np.zeros(cols)))
+            lap = sum(np.ix_(*h[:dim], g[dim]))  # u_t/u + lap u/u, both over scale
             dense = (float(np.sum(weight * ((1.0 / scale) ** 2 + grad))),
                      float(np.sum(weight * lap * lap)))
             # a node below the floor weighs at most exp(_EXP_FLOOR) in either
@@ -579,8 +578,9 @@ class TestSeparableStream:
 
         dim = len(offsets) - 1
         full = tensor_exponent(p, s, slope, offsets, a, K)
-        parts = [quad_mod._axis_view(tensor_exponent(p, s, slope, one_axis(offsets, j), a, K),
-                                     j, dim + 1) for j in range(dim + 1)]
+        # each part keeps a length-1 axis for every other axis, so it broadcasts
+        parts = [tensor_exponent(p, s, slope, one_axis(offsets, j), a, K)
+                 for j in range(dim + 1)]
         residual = np.abs(full - sum(parts))
         rounding = 4.0 * quad_mod._EPS * (np.abs(full) + sum(np.abs(f) for f in parts))
         weighted = full > -40.0
@@ -741,6 +741,46 @@ def record_exponents(monkeypatch):
     monkeypatch.setattr(quad_mod, "_exponent_factors", logged)
     monkeypatch.setattr(quad_mod, "_find_peak", newton)
     return calls
+
+
+class TestNewtonStart:
+    """Newton starts from the best node of a coarse lattice over the support."""
+
+    @pytest.mark.parametrize("K", [0.5, 60.0, 400.0])
+    @pytest.mark.parametrize("a", [0.0, 1.0])
+    @pytest.mark.parametrize("u", [BUMP, BUMP3, OFF_AXIS], ids=["2d", "3d", "off-axis"])
+    def test_starts_from_the_lattice_argmax(self, u, a, K):
+        # BUMP is the bump of the benchmark's concentrated and resolved
+        # cases and BUMP3 that of its 3-D case.  F = L + 2 sum log b is
+        # evaluated on the lattice's nodes listed one by one, and an axis
+        # whose best node is its first (last) node inside the support gets
+        # mode +1 (-1) and may only move towards that edge
+        import carleman_cone.quad as quad_mod
+
+        s = np.array(u.radii)
+        lo, hi = np.array(u.center) - s, np.array(u.center) + s
+        axes = [np.linspace(l, h, quad_mod._START_NODES) for l, h in zip(lo, hi)]
+        nodes = np.array(list(itertools.product(*axes))).T
+        with np.errstate(divide="ignore"):
+            F = (sum(2.0 * (-si * si / ((x - l) * (h - x)))
+                     for x, l, h, si in zip(nodes, lo, hi, s))
+                 + log_weight(nodes[:-1], nodes[-1], a, K, PARAMS))
+        best = int(np.argmax(F))
+        index, node = np.unravel_index(best, [len(ax) for ax in axes]), nodes[:, best]
+        modes = []
+        for ax, l, h, j in zip(axes, lo, hi, index):
+            inside = np.nonzero((ax > l) & (ax < h))[0]
+            modes.append(1.0 if j == inside[0] else -1.0 if j == inside[-1] else 0.0)
+
+        point, got = quad_mod._newton_start(lo, hi, s, PARAMS, a, K)
+        assert got.tolist() == modes
+        still = got == 0.0
+        assert np.array_equal(point.x[still], node[still])
+        assert np.array_equal(point.lo_gap[still], (node - lo)[still])
+        assert np.array_equal(point.hi_gap[still], (hi - node)[still])
+        assert np.all((point.lo_gap > 0.0) & (point.hi_gap > 0.0))
+        assert np.all(np.where(got > 0.0, point.lo_gap <= node - lo, True))
+        assert np.all(np.where(got < 0.0, point.hi_gap <= hi - node, True))
 
 
 class TestRemainders:
