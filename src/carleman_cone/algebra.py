@@ -8,11 +8,23 @@ claims like ``p >= 0 on [a, b]`` over the whole interval instead of sampling
 it.
 
 Outward rounding is emulated rather than switched on in hardware.  One pad
-widens an endpoint ``x`` by ``2**-50 * |x| + 1e-300``.  The enclosure runs
-one loop in plain floats: each term's endpoint powers get four pads, the
-scaled term one more, and every partial sum one.  The margins this package
-needs to distinguish are around ``1e-2``, so the emulation is conservative
-by many orders of magnitude while staying portable.
+widens an endpoint ``x`` by ``2**-50 * |x| + 1e-300``, 8u with ``u = 2**-53``.
+The enclosure runs one loop in plain floats: each term's endpoint powers get
+four pads (32u), the scaled term one more, and every partial sum one.  The
+margins this package needs to distinguish are around ``1e-2``, so the
+emulation is conservative by many orders of magnitude while staying portable.
+
+The terms cancel, so on a node of width ``w`` the enclosure's lower end lies
+``O(w)`` below the range.  A node it leaves open gets a centred bound before
+it is bisected.  With ``c`` the midpoint, the mean-value theorem gives
+``p >= lo(p([c, c])) + min(lo(p'(X)) (hi - c), hi(p'(X)) (lo - c))`` on the
+node, ``O(w**2)`` below the range (Moore, Kearfott & Cloud, *Introduction
+to Interval Analysis*, SIAM 2009).  Both enclosures come from
+``eval_interval``; each product and the sum get one pad, which also covers
+the rounding of ``lo - c`` and ``hi - c`` (u each).  In ``p.derivative()``,
+``fl(c * p)`` is off by u, inside the 8u scaled-term pad, and ``fl(p - 1)``
+is exact for ``p >= 1/2``; below, it moves ``h**(p - 1)`` by
+``u |(p - 1) ln h|``, inside the 32u pow pad while that is under 30.
 """
 
 from __future__ import annotations
@@ -242,19 +254,23 @@ class SignKind(Enum):
 class SignVerdict:
     """Result of a sign certification.
 
-    margin   certified distance from zero for certified kinds; for the
-             ``*_SOMEWHERE`` kinds it is the (signed) point value at the
-             witness.
+    margin   for certified kinds, the least leaf lower bound (a leaf's is
+             the larger of its first-order and centred bounds): certified
+             below ``|p|``, though not its minimum, since a leaf closes once
+             its bound passes ``tol``; for the ``*_SOMEWHERE`` kinds, the
+             (signed) point value at the witness.
     witness  a point where the claimed sign is violated; ``None`` for
              certified or scalar-condition verdicts.
     zeros    declared zeros inside the certified region.
-    residual worst leaf enclosure straddling zero when INDETERMINATE.
+    residual worst open leaf when INDETERMINATE: its lower bound (also the
+             margin) and its enclosure's upper end.
 
     The work counts are zero for scalar-condition verdicts:
 
-    nodes             bisection nodes enclosed (one ``eval_interval`` each).
+    nodes             bisection nodes, one ``eval_interval`` each and two more
+                      for the centred bound of each one left open.
     max_depth         deepest node visited; the root is depth 0.
-    leaves_margin     leaves closed by an enclosure above ``tol``.
+    leaves_margin     leaves closed by a lower bound above ``tol``.
     leaves_zero       leaves closed by a declared zero.
     leaves_exhausted  leaves left open at the depth or node cap.
     """
@@ -301,6 +317,16 @@ class SignVerdict:
 _MIRROR_CLAIM = {"<=": ">="}
 
 
+def _centred_lower(p: PowerSum, dp: PowerSum, lo: float, hi: float) -> float:
+    """Centred lower bound of ``p`` over ``[lo, hi]``; ``dp = p.derivative()``."""
+    mid = 0.5 * (lo + hi)
+    slope = dp.eval_interval(Interval(lo, hi))
+    down = min(slope.lo * (hi - mid), slope.hi * (lo - mid))
+    down -= _REL * abs(down) + _ABS
+    total = p.eval_interval(Interval(mid, mid)).lo + down
+    return total - (_REL * abs(total) + _ABS)
+
+
 def certify_sign(
     p: PowerSum,
     region: Interval,
@@ -311,12 +337,12 @@ def certify_sign(
 ) -> SignVerdict:
     """Prove a sign claim for ``p`` over the whole ``region`` by adaptive bisection.
 
-    A leaf interval is accepted when its enclosure confirms the claim with
-    margin above ``tol``, or when it contains a declared known zero and the
-    enclosure dips at most ``tol`` past the allowed side.  A point
-    evaluation that strictly violates the claim refutes it with a witness.
-    Leaves still unresolved at ``max_depth`` make the verdict INDETERMINATE,
-    which is a result, not an error.
+    In order, a node closes when its enclosure confirms the claim with margin
+    above ``tol``; a point evaluation that strictly violates the claim
+    refutes it with a witness; a node closes when it contains a declared
+    known zero and the enclosure dips at most ``tol`` past the allowed side,
+    or when its centred bound confirms the claim.  Leaves still open at
+    ``max_depth`` make the verdict INDETERMINATE, a result, not an error.
 
     Increasing ``max_depth`` can only turn INDETERMINATE into a definite
     verdict; it never flips a certified outcome into a refuted one.
@@ -345,6 +371,7 @@ def certify_sign(
     min_margin = math.inf
     worst_residual: Optional[Interval] = None
     worst_lo = math.inf
+    dp: Optional[PowerSum] = None
 
     def verdict(kind: SignKind, **fields) -> SignVerdict:
         return SignVerdict(
@@ -358,28 +385,31 @@ def certify_sign(
         if depth > deepest:
             deepest = depth
         enc = p.eval_interval(Interval(lo, hi))
-
-        if enc.lo > tol:
-            if enc.lo < min_margin:
-                min_margin = enc.lo
-            by_margin += 1
-            continue
-
+        bound = enc.lo
         mid = 0.5 * (lo + hi)
-        for h in (lo, mid, hi) if depth == 0 else (mid,):
-            val = p.eval(h)
-            if val < 0.0:
-                return verdict(SignKind.NEGATIVE_SOMEWHERE, margin=val, witness=h)
 
-        if zeros_in_region and enc.lo >= -tol and any(lo <= z <= hi for z in zeros_in_region):
-            by_zero += 1
+        if bound <= tol:
+            for h in (lo, mid, hi) if depth == 0 else (mid,):
+                val = p.eval(h)
+                if val < 0.0:
+                    return verdict(SignKind.NEGATIVE_SOMEWHERE, margin=val, witness=h)
+            if zeros_in_region and bound >= -tol and any(lo <= z <= hi for z in zeros_in_region):
+                by_zero += 1
+                continue
+            dp = dp or p.derivative()
+            bound = max(bound, _centred_lower(p, dp, lo, hi))
+
+        if bound > tol:
+            if bound < min_margin:
+                min_margin = bound
+            by_margin += 1
             continue
 
         if depth >= max_depth or nodes > _MAX_NODES or not (lo < mid < hi):
             exhausted += 1
-            if enc.lo < worst_lo:
-                worst_lo = enc.lo
-                worst_residual = enc
+            if bound < worst_lo:
+                worst_lo = bound
+                worst_residual = Interval(bound, enc.hi)
             continue
 
         stack.append((lo, mid, depth + 1))

@@ -105,8 +105,8 @@ def _derivative_consistency(params: WeightParams, rng: np.random.Generator) -> I
     worst = 0.0
     for h in rng.uniform(0.2, 0.9, size=50):
         fd = (f.eval(h + delta) - f.eval(h - delta)) / (2.0 * delta)
-        exact = fp.eval(h)
-        worst = max(worst, abs(fd - exact) / max(abs(exact), 1e-12))
+        scale = sum(abs(c) * math.pow(h, q) for c, q in fp.terms)  # f' may nearly vanish
+        worst = max(worst, abs(fd - fp.eval(h)) / max(scale, 1e-12))
     return IdentityResult(
         "powersum_derivative_fd", worst <= 1e-6, f"worst relative error {worst:.3g}"
     )

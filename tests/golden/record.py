@@ -58,6 +58,7 @@ COMMANDS = (
     "quadrature --a 0 --K 439 --K-cap 439 --grid 21",
     "frontier --m 2.9",
     "check --m 2.9 --alpha 1.999 --eps 0.6323693847656251",
+    "check --m 2.9 --alpha 1.999 --eps 0.6323338",
 )
 
 ALL_KEYS = "\n".join((

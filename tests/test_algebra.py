@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,12 +10,14 @@ from carleman_cone.algebra import (
     _ABS,
     _POW_UNITS,
     _REL,
+    _centred_lower,
     Interval,
     PowerSum,
     SignKind,
     certify_sign,
 )
-from carleman_cone.weights import build_f
+from carleman_cone.conditions import build_l
+from carleman_cone.weights import WeightParams, build_f
 
 
 def random_power_sum(rng, allow_negative_exponents=False):
@@ -237,14 +240,53 @@ class TestInterval:
     )
     def test_contains_exact_values(self, terms, ends, points):
         # soundness against exact rational evaluation at both endpoints and
-        # at rational points of the region
+        # at rational points of the region, of the enclosure and of the
+        # certifier's node bound, the larger of its lower end and the
+        # centred bound
         lo, hi = sorted(ends)
         p = PowerSum(tuple((c, float(q)) for c, q in terms))
         enc = p.eval_interval(Interval(lo, hi))
+        bound = max(enc.lo, _centred_lower(p, p.derivative(), lo, hi))
         flo, fhi = Fraction(lo), Fraction(hi)
         for h in [flo, fhi] + [flo + t * (fhi - flo) for t in points]:
             exact = sum((Fraction(c) * h ** int(q) for c, q in p.terms), Fraction(0))
-            assert Fraction(enc.lo) <= exact <= Fraction(enc.hi)
+            assert Fraction(bound) <= exact <= Fraction(enc.hi)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        terms=st.lists(
+            st.tuples(st.floats(-10.0, 10.0), st.floats(-2.0, 6.0)), min_size=1, max_size=6
+        ),
+        ends=st.tuples(st.floats(1e-3, 1.0), st.floats(1e-3, 1.0)),
+        points=st.lists(st.floats(0.0, 1.0), max_size=5),
+    )
+    def test_centred_bound_below_exact_values(self, terms, ends, points):
+        # real exponents, whose derivative's exponents p - 1 may round,
+        # against 50-digit evaluation at float points of the node
+        lo, hi = sorted(ends)
+        p = PowerSum(tuple(terms))
+        bound = _centred_lower(p, p.derivative(), lo, hi)
+        with mpmath.workdps(50):
+            for h in [lo, hi, 0.5 * (lo + hi)] + [min(hi, lo + t * (hi - lo)) for t in points]:
+                exact = mpmath.fsum(mpmath.mpf(c) * mpmath.power(mpmath.mpf(h), q)
+                                    for c, q in p.terms)
+                assert mpmath.mpf(bound) <= exact
+
+    def test_centred_bound_is_second_order(self):
+        # on nodes centred at l1's interior minimum near the m = 2.9
+        # frontier, the first-order lower end lies O(w) below the range and
+        # the centred bound O(w^2): a tenth of the width takes a tenth and a
+        # hundredth of the excess
+        l1 = build_l("l1", WeightParams(m=2.9, alpha=1.999, gamma=1.0, epsilon=0.6323338))
+        excess = []
+        for w in (1e-3, 1e-4, 1e-5):
+            lo, hi = 0.971094 - w / 2, 0.971094 + w / 2
+            least = min(l1.eval(float(x)) for x in np.linspace(lo, hi, 101))
+            excess.append((least - l1.eval_interval(Interval(lo, hi)).lo,
+                           least - _centred_lower(l1, l1.derivative(), lo, hi)))
+        for (first, centred), (first_next, centred_next) in zip(excess, excess[1:]):
+            assert 0.0 < centred < first
+            assert 8.0 < first / first_next < 12.0 and 80.0 < centred / centred_next < 120.0
 
     def test_negation_exact(self):
         iv = Interval(-1.5, 2.25)
@@ -322,28 +364,35 @@ class TestCertifySign:
         assert all(fpp.eval(float(h)) > 0.0 for h in hs)
 
     def test_work_counts(self, monkeypatch):
-        # every node is a leaf or has two children: nodes = 2 * leaves - 1
+        # every node is a leaf or has two children: nodes = 2 * leaves - 1;
+        # a node the first-order enclosure leaves open also encloses p at
+        # its midpoint and p' over itself, for its centred bound
         calls = []
         original = PowerSum.eval_interval
 
         def counted(self, region):
-            calls.append(region)
+            calls.append((self, region))
             return original(self, region)
 
         monkeypatch.setattr(PowerSum, "eval_interval", counted)
         cubic = PowerSum(((1.0, 3.0), (-0.25, 1.0)))  # zero at h = 0.5
         parabola = PowerSum(((1.0, 2.0), (-1.0, 1.0), (0.25, 0.0)))
+        # the last entry is (nodes, eval_interval calls)
         cases = [
-            (cubic, (0.5, 1.0), ">=", (0.5,), 60),
-            (parabola + PowerSum.constant(1e-4), (0.25, 1.0), ">", (), 60),
-            (parabola, (0.25, 0.75), ">", (), 12),
+            (cubic, (0.5, 1.0), ">=", (0.5,), 60, (75, 151)),
+            (parabola + PowerSum.constant(1e-4), (0.25, 1.0), ">", (), 60, (31, 93)),
+            (parabola, (0.25, 0.75), ">", (), 12, (47, 141)),
         ]
         seen = []
-        for p, (lo, hi), claim, zeros, depth in cases:
+        for p, (lo, hi), claim, zeros, depth, work in cases:
             calls.clear()
             v = certify_sign(p, Interval(lo, hi), claim, known_zeros=zeros, max_depth=depth)
             leaves = v.leaves_margin + v.leaves_zero + v.leaves_exhausted
-            assert v.nodes == len(calls) == 2 * leaves - 1
+            centred = [r for q, r in calls if q == p and r.lo == r.hi]
+            assert v.nodes == 2 * leaves - 1
+            assert sum(q == p.derivative() for q, _ in calls) == len(centred)
+            assert len(calls) == v.nodes + 2 * len(centred)
+            assert (v.nodes, len(calls)) == work
             assert 0 < v.max_depth <= depth
             assert (v.leaves_zero > 0) == bool(v.zeros)
             assert (v.leaves_exhausted > 0) == (v.kind is SignKind.INDETERMINATE)

@@ -222,17 +222,20 @@ class TestDirectFeasibility:
 
 # Verdicts, margins, witnesses and eval_interval call counts recorded with
 # the per-operation interval arithmetic (reference_eval_interval in
-# test_algebra.py), at alpha = 1.999: a feasible point, a point refuted at
-# h = epsilon by the boundary law, one that bisection refutes, and a
-# feasible point just below the m = 2.9 frontier.
+# test_algebra.py) and the certifier's centred bound, at alpha = 1.999: a
+# feasible point, a point refuted at h = epsilon by the boundary law, one
+# that bisection refutes, and a feasible point just below the m = 2.9
+# frontier.  The calls are the nodes, plus for each node that its
+# first-order enclosure leaves open a point enclosure at its midpoint and an
+# enclosure of the derivative.
 RECORDED = [
-    ((2.46, 0.6), "feasible", 186, {
+    ((2.46, 0.6), "feasible", 70, {
         "lemma31_i": ("NON_NEGATIVE_WITH_ZEROS", 0.0, None),
         "lemma31_ii": ("POSITIVE", 2.8394716573791805, None),
         "lemma31_iii": ("POSITIVE", 0.32346638770911307, None),
         "lemma31_iv": ("NON_POSITIVE_WITH_ZEROS", 0.629090172586764, None),
-        "l1_direct": ("POSITIVE", 0.0070537620828647835, None),
-        "l3_lower_bound": ("POSITIVE", 0.10284455610664124, None),
+        "l1_direct": ("POSITIVE", 0.000555315261079547, None),
+        "l3_lower_bound": ("POSITIVE", 0.08823073348641122, None),
     }),
     ((2.46, 0.8), "infeasible", 6, {
         "lemma31_i": ("NON_NEGATIVE_WITH_ZEROS", 0.0, None),
@@ -242,21 +245,21 @@ RECORDED = [
         "l1_direct": ("NEGATIVE_SOMEWHERE", -1.9017510199100198, 0.8),
         "l3_lower_bound": ("NEGATIVE_SOMEWHERE", -0.8643032084154905, 0.8),
     }),
-    ((2.9, 0.6323693847656251), "infeasible", 2392, {
+    ((2.9, 0.6323693847656251), "infeasible", 110, {
         "lemma31_i": ("NON_NEGATIVE_WITH_ZEROS", 0.0, None),
         "lemma31_ii": ("POSITIVE", 3.647752395106563, None),
         "lemma31_iii": ("POSITIVE", 0.6925002905580919, None),
         "lemma31_iv": ("NON_POSITIVE_WITH_ZEROS", 1.3295088384077218, None),
         "l1_direct": ("NEGATIVE_SOMEWHERE", -0.0004273194751789333, 0.9712788581848144),
-        "l3_lower_bound": ("POSITIVE", 0.07338197047353605, None),
+        "l3_lower_bound": ("POSITIVE", 0.2717614492752283, None),
     }),
-    ((2.9, 0.6323095703125), "feasible", 28456, {
+    ((2.9, 0.6323095703125), "feasible", 388, {
         "lemma31_i": ("NON_NEGATIVE_WITH_ZEROS", 0.0, None),
         "lemma31_ii": ("POSITIVE", 3.6474418639254913, None),
         "lemma31_iii": ("POSITIVE", 0.6923103515207596, None),
         "lemma31_iv": ("NON_POSITIVE_WITH_ZEROS", 1.3290310312903475, None),
-        "l1_direct": ("POSITIVE", 8.912831361840282e-09, None),
-        "l3_lower_bound": ("POSITIVE", 0.07372737514519072, None),
+        "l1_direct": ("POSITIVE", 2.1996596200053536e-06, None),
+        "l3_lower_bound": ("POSITIVE", 0.27229549017473154, None),
     }),
 ]
 
@@ -274,6 +277,16 @@ def test_direct_feasibility_matches_recorded(monkeypatch, point, overall, calls,
     m, eps = point
     rep = direct_feasibility(WeightParams(m=m, alpha=1.999, gamma=1.0, epsilon=eps))
     assert rep.overall == overall
-    assert len(seen) == calls == sum(v.nodes for v in rep.checks.values())
+    centred = sum(r.lo == r.hi for r in seen)
+    assert len(seen) == calls == sum(v.nodes for v in rep.checks.values()) + 2 * centred
     got = {k: (v.kind.name, v.margin, v.witness) for k, v in rep.checks.items()}
     assert got == checks
+
+
+def test_certificate_near_the_double_root_closes():
+    # at 7e-8 below the m = 2.9 frontier, l1's interior minimum is 8.5e-7;
+    # first-order enclosures alone end INDETERMINATE at the node cap there,
+    # and the centred bound certifies it in about 200 nodes
+    rep = direct_feasibility(WeightParams(m=2.9, alpha=1.999, gamma=1.0, epsilon=0.6323338))
+    assert rep.overall == "feasible"
+    assert sum(v.nodes for v in rep.checks.values()) <= 2000

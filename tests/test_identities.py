@@ -12,6 +12,7 @@ from carleman_cone.cli import main
 from carleman_cone.identities import (
     DEFAULT_PARAMS,
     _boundary_vanishing,
+    _derivative_consistency,
     _euler,
     _grad_fd,
     _hess_fd,
@@ -36,6 +37,17 @@ def test_boundary_vanishing_holds_for_every_seed(dim):
 def test_pointwise_check_holds_for_every_seed(check, dim):
     failed = [(seed, result.detail) for seed in range(200)
               if not (result := check(DEFAULT_PARAMS, np.random.default_rng(seed), dim)).passed]
+    assert failed == []
+
+
+@pytest.mark.parametrize("params", [DEFAULT_PARAMS, replace(DEFAULT_PARAMS, alpha=2.0, epsilon=0.3)],
+                         ids=["defaults", "alpha_2_eps_0.3"])
+def test_derivative_row_holds_for_every_seed(params):
+    # at alpha = 2, eps = 0.3 seed 2 samples h = 0.8238, where l2' = -9.5e-5
+    # nearly vanishes, so the error is measured against the size of the
+    # terms of l2', not against |l2'|, which would magnify rounding past 1e-6
+    failed = [(seed, result.detail) for seed in range(200)
+              if not (result := _derivative_consistency(params, np.random.default_rng(seed))).passed]
     assert failed == []
 
 
