@@ -18,21 +18,13 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Callable, NamedTuple, Optional, Sequence
 
-import numpy as np
-
 from . import __version__
-from .conditions import DIRECT_KEYS, ROUTE_KEYS, direct_feasibility, sufficient_route_check
-from .identities import run_identity_suite
-from .quad import (
-    BumpFunction,
-    GridSpec,
-    SupportViolationError,
-    verify_carleman,
-)
+from .conditions import (DIRECT_KEYS, ROUTE_KEYS, WeightParams, direct_feasibility,
+                         sufficient_route_check)
 from .solver import (
     DEFAULT_INIT,
     AllInfeasibleError,
@@ -43,7 +35,6 @@ from .solver import (
     solve_critical_system,
     solve_gamma1,
 )
-from .weights import WeightParams
 
 __all__ = ["RunConfig", "parse_config", "execute", "main"]
 
@@ -62,7 +53,13 @@ def _parse_m_grid(text: str) -> list[float]:
         raise UsageError(f"bad m_grid {text!r}: {exc}") from exc
     if count < 1:
         raise UsageError(f"m_grid count must be >= 1, got {count}")
-    return [float(v) for v in np.linspace(lo, hi, count)]
+    if count == 1:
+        return [0.0 * (hi - lo) + lo]
+    # np.linspace(lo, hi, count) to the bit: i * step + lo, the last node hi,
+    # and a step that underflows to 0 scaled after the division instead
+    div = count - 1
+    step = (hi - lo) / div
+    return [(i * step if step != 0.0 else i / div * (hi - lo)) + lo for i in range(div)] + [hi]
 
 
 def _parse_init(text: str) -> tuple[float, float, float]:
@@ -228,10 +225,9 @@ def _validate(cfg: RunConfig) -> None:
         raise UsageError(f"K_cap: must be >= K, got {cfg.K_cap}")
     # Newton's Hessian of the weight carries the time curvature
     # 2a K(K+1) t**-(K+2) phi (quad._grad_hess), largest at the lower end
-    # t_lo of the bump's time axis and at phi's maximum on the bump,
+    # t_lo of the default bump's time axis and at phi's maximum on it,
     # phi(x_hi, 0) = x_hi**alpha * f(1); past float64 it overflows.
-    u = default_bump(cfg.dim)
-    t_lo, x_hi = u.support[-1][0], u.support[0][1]
+    t_lo, x_hi = _BUMP_T - _BUMP_T_RADIUS, _BUMP_X1 + _BUMP_RADIUS
     phi_max = math.pow(x_hi, cfg.alpha) * (1.0 - math.pow(cfg.eps, cfg.m))
     c, log_max, log_t = 2.0 * max(cfg.a) * phi_max, math.log(sys.float_info.max), -math.log(t_lo)
 
@@ -318,16 +314,7 @@ def _run_solve(cfg: RunConfig) -> tuple[int, Any, dict]:
         res = solve_critical_system(init=cfg.init, tol=cfg.tol, max_iter=cfg.max_iter)
     except (NonConvergenceError, SingularJacobianError) as exc:
         return 2, {"error": str(exc)}, {}
-    result = {
-        "gamma": res.gamma,
-        "m": res.m,
-        "epsilon0": res.epsilon0,
-        "theta_deg": res.theta_deg,
-        "residuals": list(res.residuals),
-        "iterations": res.iterations,
-        "converged": res.converged,
-    }
-    return 0, result, {}
+    return 0, asdict(res), {}  # SolverResult's fields, in their order
 
 
 def _run_gamma1(cfg: RunConfig) -> tuple[int, Any, dict]:
@@ -392,19 +379,30 @@ def _run_scan(cfg: RunConfig) -> tuple[int, Any, dict]:
     return 0, {"rows": table, "csv": cfg.csv}, {}
 
 
-def default_bump(dim: int) -> BumpFunction:
+# The default bump's center and radii: x1 and t, the other axes at 0.
+_BUMP_X1, _BUMP_RADIUS, _BUMP_T, _BUMP_T_RADIUS = 4.0, 0.8, 0.5, 0.3
+
+
+def default_bump(dim: int):
     """Verification bump: centered at (4, 0, ..) x t = 0.5, well inside Q."""
+    from .quad import BumpFunction
+
     return BumpFunction(
         amplitude=1.0,
-        center=(4.0,) + (0.0,) * (dim - 1) + (0.5,),
-        radii=(0.8,) * dim + (0.3,),
+        center=(_BUMP_X1,) + (0.0,) * (dim - 1) + (_BUMP_T,),
+        radii=(_BUMP_RADIUS,) * dim + (_BUMP_T_RADIUS,),
     )
 
 
 def _run_quadrature(cfg: RunConfig) -> tuple[int, Any, dict]:
+    from .quad import GridSpec, SupportViolationError, verify_carleman
+
     u = default_bump(cfg.dim)
     grid = GridSpec.from_support(u, cfg.grid)
-    reports = verify_carleman(u, cfg.params, cfg.a, cfg.K, cfg.K_cap, grid)
+    try:
+        reports = verify_carleman(u, cfg.params, cfg.a, cfg.K, cfg.K_cap, grid)
+    except SupportViolationError as exc:
+        raise UsageError(str(exc)) from exc
     result = [
         {
             "a": r.a,
@@ -420,6 +418,13 @@ def _run_quadrature(cfg: RunConfig) -> tuple[int, Any, dict]:
     ]
     code = 0 if all(r.passed for r in reports) else 1
     return code, result, {}
+
+
+def run_identity_suite(seed: int, params: WeightParams, dim: int) -> list:
+    """``identities.run_identity_suite``, imported on call: only this subcommand needs it."""
+    from . import identities
+
+    return identities.run_identity_suite(seed=seed, params=params, dim=dim)
 
 
 def _run_identities(cfg: RunConfig) -> tuple[int, Any, dict]:
@@ -452,7 +457,7 @@ def execute(cfg: RunConfig, stream=None) -> int:
     """Dispatch a validated config; writes the report and returns the exit code."""
     try:
         code, result, verdicts = _COMMANDS[cfg.command].run(cfg)
-    except SupportViolationError as exc:
+    except UsageError as exc:  # input that only the run itself can reject
         print(f"error: {exc}", file=sys.stderr)
         return 3
     _emit(cfg, _envelope(cfg, result, verdicts), stream=stream)

@@ -14,7 +14,10 @@ gamma-decomposition route.  Two certifiers are provided:
   ``l1 >= 0`` and the ``l3`` lower bound directly with interval bisection
   and does not involve gamma at all.
 
-All functions are pure; reports are plain immutable values.
+The parameter bundle ``WeightParams`` and the profile ``build_f`` live here
+too, so that the certified core (``algebra``, ``conditions``, ``solver``)
+computes in plain floats and never imports numpy; ``weights`` re-exports
+both.  All functions are pure; reports are plain immutable values.
 """
 
 from __future__ import annotations
@@ -31,9 +34,10 @@ from .algebra import (
     SignVerdict,
     certify_sign,
 )
-from .weights import WeightParams, build_f
 
 __all__ = [
+    "WeightParams",
+    "build_f",
     "ConditionReport",
     "DIRECT_KEYS",
     "ROUTE_KEYS",
@@ -85,6 +89,49 @@ _CLAIMS = {
 # Relative slack on the l3 lower bound so the certified claim does not sit
 # exactly on the bound.
 _L3_SLACK = 1e-9
+
+
+@dataclass(frozen=True)
+class WeightParams:
+    """Parameter bundle (m, alpha, gamma, epsilon) for one weight instance.
+
+    ``m`` is the profile exponent, ``alpha`` the homogeneity degree,
+    ``gamma`` the decomposition parameter used only by the sufficient-route
+    certifier, and ``epsilon = cos(theta/2)`` encodes the cone opening.
+    The core exponent range is ``2 < m < 3``; values down to 1 are accepted
+    so the comparison family with profile exponent equal to ``alpha`` can
+    run through the same certifiers, and are surfaced via the range flags.
+    """
+
+    m: float
+    alpha: float
+    gamma: float
+    epsilon: float
+
+    def __post_init__(self) -> None:
+        if not 1.0 < self.m < 3.0:
+            raise ValueError(f"m must lie in (1, 3), got {self.m}")
+        if not 1.0 < self.alpha <= 2.0:
+            raise ValueError(f"alpha must lie in (1, 2], got {self.alpha}")
+        if not 0.5 < self.gamma <= 1.0:
+            raise ValueError(f"gamma must lie in (1/2, 1], got {self.gamma}")
+        if not 0.0 < self.epsilon < 1.0:
+            raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon}")
+
+    @property
+    def m_in_core_range(self) -> bool:
+        """Whether m sits in the core working range (2, 3)."""
+        return 2.0 < self.m < 3.0
+
+    @property
+    def concavity_route_available(self) -> bool:
+        """m >= 2.36 keeps the concavity argument's leading sign in check."""
+        return self.m >= 2.36
+
+
+def build_f(m: float, epsilon: float) -> PowerSum:
+    """Radial profile ``h**m - epsilon**m`` as a PowerSum."""
+    return PowerSum(((1.0, m), (-math.pow(epsilon, m), 0.0)))
 
 
 @dataclass(frozen=True)

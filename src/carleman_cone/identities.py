@@ -20,7 +20,8 @@ import numpy as np
 
 from . import conditions
 from .algebra import PowerSum
-from .weights import WeightParams, _profile_derivs, _radius, grad_phi, hess_phi, phi_eval
+from .conditions import WeightParams, build_f
+from .weights import _profile_derivs, _radius, grad_phi, hess_phi, phi_eval
 
 __all__ = ["IdentityResult", "run_identity_suite", "sample_cone_points"]
 
@@ -85,8 +86,6 @@ def _coefficient_identity_l3(params: WeightParams) -> IdentityResult:
 
 
 def _coefficient_identity_hfpp(params: WeightParams) -> IdentityResult:
-    from .weights import build_f
-
     f = build_f(params.m, params.epsilon)
     fp = f.derivative()
     diff = PowerSum.monomial(1.0, 1.0) * fp.derivative() - (params.m - 1.0) * fp

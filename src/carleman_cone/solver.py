@@ -14,11 +14,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-import numpy as np
-
 from .algebra import Interval
-from .conditions import direct_feasibility
-from .weights import WeightParams
+from .conditions import WeightParams, direct_feasibility
 
 __all__ = [
     "SolverResult",
@@ -107,36 +104,68 @@ def residuals_critical(gamma: float, m: float, e: float) -> tuple[float, float, 
     return r1, r2, r3
 
 
-def _jacobian_critical(gamma: float, m: float, e: float) -> np.ndarray:
-    """Closed-form Jacobian of ``residuals_critical`` in (gamma, m, e)."""
+def _jacobian_critical(gamma: float, m: float, e: float) -> list[list[float]]:
+    """Closed-form Jacobian of ``residuals_critical`` in (gamma, m, e), as rows."""
     g2 = gamma * gamma
     q = g2 * (m - 1.0) / 4.0
     em = math.pow(e, m)
-    return np.array([
+    return [
         [8.0 - 8.0 * gamma + g2 * gamma * (m - 1.0), g2 * g2 / 4.0, 0.0],
         [0.0, 2.0 / ((m + 1.0) * (m + 1.0)), -2.0 * e],
         [-0.5 * gamma * (m - 1.0) * (1.0 - em),
          -0.25 * g2 * (1.0 - em) - (4.0 - q) * em * math.log(e) - 1.0,
          -(4.0 - q) * m * em / e],
-    ])
+    ]
 
 
-def _newton(residual: Callable[[np.ndarray], np.ndarray],
-            jacobian: Callable[[np.ndarray], np.ndarray],
-            init: Sequence[float], tol: float, max_iter: int) -> tuple[np.ndarray, int]:
+def _solve_linear(a: Sequence[Sequence[float]],
+                  rhs: Sequence[Sequence[float]]) -> Optional[list[list[float]]]:
+    """Solutions x of ``a x = b``, one per right-hand side b in ``rhs``.
+
+    Gaussian elimination with partial pivoting; one elimination serves every
+    right-hand side.  Returns None when a pivot is exactly zero.
+    """
+    n = len(a)
+    rows = [list(a[i]) + [b[i] for b in rhs] for i in range(n)]
+    for k in range(n):
+        p = max(range(k, n), key=lambda i: abs(rows[i][k]))
+        if rows[p][k] == 0.0:
+            return None
+        rows[k], rows[p] = rows[p], rows[k]
+        for i in range(k + 1, n):
+            f = rows[i][k] / rows[k][k]
+            rows[i] = [u - f * v for u, v in zip(rows[i], rows[k])]
+    xs = [[0.0] * n for _ in rhs]
+    for i in reversed(range(n)):
+        for j, x in enumerate(xs):
+            x[i] = (rows[i][n + j] - sum(rows[i][c] * x[c] for c in range(i + 1, n))) / rows[i][i]
+    return xs
+
+
+def _norm_inf(rows) -> float:
+    """Infinity norm of a matrix given by its rows: the largest absolute row sum."""
+    return max(sum(abs(v) for v in row) for row in rows)
+
+
+def _newton(residual: Callable[[list[float]], Sequence[float]],
+            jacobian: Callable[[list[float]], list[list[float]]],
+            init: Sequence[float], tol: float, max_iter: int) -> tuple[list[float], int]:
     """Damped Newton; returns the root and the number of steps taken.
 
     The step is halved (up to 30 times) whenever the residual norm fails to
     decrease or ``residual`` raises ValueError (an iterate left the domain).
     Convergence means ``max |R_i| <= tol``; anything else raises
-    NonConvergenceError rather than silently returning a non-root.
+    NonConvergenceError rather than silently returning a non-root.  A
+    Jacobian whose infinity-norm condition number ``|J| |J^-1|`` exceeds
+    ``_COND_LIMIT`` raises SingularJacobianError; the elimination that gives
+    the step gives ``J^-1`` too.
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
-    x = np.array(init, dtype=float)
+    x = [float(v) for v in init]
     r = residual(x)
     for steps in range(max_iter + 1):
-        cur = np.max(np.abs(r))
+        cur = max(abs(v) for v in r)
         if cur <= tol:
             return x, steps
         if steps == max_iter:
@@ -144,21 +173,24 @@ def _newton(residual: Callable[[np.ndarray], np.ndarray],
                 f"no convergence after {max_iter} iterations (max residual {cur:.3g})"
             )
         jac = jacobian(x)
-        if np.linalg.cond(jac) > _COND_LIMIT:
+        eye = [[float(i == j) for j in range(len(x))] for i in range(len(x))]
+        sol = _solve_linear(jac, [[-v for v in r]] + eye)
+        # sol[1:] are the columns of J^-1, so zip(*sol[1:]) are its rows
+        if sol is None or not _norm_inf(jac) * _norm_inf(zip(*sol[1:])) <= _COND_LIMIT:
             raise SingularJacobianError(
                 f"Jacobian condition number exceeds {_COND_LIMIT:g} at {tuple(x)}"
             )
-        step = np.linalg.solve(jac, -r)
+        step = sol[0]
 
         lam = 1.0
         for _ in range(_MAX_HALVINGS + 1):
-            cand = x + lam * step
+            cand = [u + lam * v for u, v in zip(x, step)]
             try:
                 r_cand = residual(cand)
             except ValueError:
                 lam *= 0.5
                 continue
-            if np.max(np.abs(r_cand)) < cur:
+            if max(abs(v) for v in r_cand) < cur:
                 break
             lam *= 0.5
         else:
@@ -173,9 +205,8 @@ def solve_critical_system(
     max_iter: int = 100,
 ) -> SolverResult:
     """Damped Newton on the critical system with its closed-form Jacobian."""
-    x, steps = _newton(lambda x: np.array(residuals_critical(*x)),
-                       lambda x: _jacobian_critical(*x), init, tol, max_iter)
-    gamma, m, e = (float(v) for v in x)
+    (gamma, m, e), steps = _newton(lambda x: residuals_critical(*x),
+                                   lambda x: _jacobian_critical(*x), init, tol, max_iter)
     return SolverResult(gamma=gamma, m=m, epsilon0=e, theta_deg=math.degrees(2.0 * math.acos(e)),
                         residuals=residuals_critical(gamma, m, e), iterations=steps,
                         converged=True)
@@ -187,9 +218,10 @@ def solve_gamma1(tol: float = 1e-10) -> tuple[float, float]:
     Returns ``(m, epsilon0)`` with both residuals at most ``tol``; at the
     root ``epsilon0 = sqrt((m-1)/(m+1))`` and ``epsilon0**m = (17-5m)/(17-m)``.
     """
-    x, _ = _newton(lambda x: np.array(residuals_critical(1.0, *x)[1:]),
-                   lambda x: _jacobian_critical(1.0, *x)[1:, 1:], DEFAULT_INIT[1:], tol, 100)
-    return float(x[0]), float(x[1])
+    (m, e), _ = _newton(lambda x: residuals_critical(1.0, *x)[1:],
+                        lambda x: [row[1:] for row in _jacobian_critical(1.0, *x)[1:]],
+                        DEFAULT_INIT[1:], tol, 100)
+    return m, e
 
 
 def frontier_epsilon(

@@ -4,7 +4,8 @@ The weight is ``phi(x) = r**alpha * f(x1 / r)`` with ``r = |x|`` and the
 radial profile ``f(h) = h**m - epsilon**m``; it vanishes on the boundary of
 the circular cone ``{x : x1 > epsilon * |x|}`` and is homogeneous of degree
 ``alpha``.  ``log_weight`` is the log-domain exponent of the full
-space-time weight.
+space-time weight.  ``WeightParams`` and ``build_f`` are defined in the
+numpy-free ``conditions`` and re-exported here.
 
 Every evaluator takes ``x`` as a sequence of coordinates, each a scalar or
 an array broadcasting with the others: a 1-D point evaluates one point,
@@ -19,11 +20,10 @@ amplification ``t**-K`` is astronomically large for small ``t``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import PowerSum
+from .conditions import WeightParams, build_f
 
 __all__ = [
     "WeightParams",
@@ -33,49 +33,6 @@ __all__ = [
     "hess_phi",
     "log_weight",
 ]
-
-
-@dataclass(frozen=True)
-class WeightParams:
-    """Parameter bundle (m, alpha, gamma, epsilon) for one weight instance.
-
-    ``m`` is the profile exponent, ``alpha`` the homogeneity degree,
-    ``gamma`` the decomposition parameter used only by the sufficient-route
-    certifier, and ``epsilon = cos(theta/2)`` encodes the cone opening.
-    The core exponent range is ``2 < m < 3``; values down to 1 are accepted
-    so the comparison family with profile exponent equal to ``alpha`` can
-    run through the same certifiers, and are surfaced via the range flags.
-    """
-
-    m: float
-    alpha: float
-    gamma: float
-    epsilon: float
-
-    def __post_init__(self) -> None:
-        if not 1.0 < self.m < 3.0:
-            raise ValueError(f"m must lie in (1, 3), got {self.m}")
-        if not 1.0 < self.alpha <= 2.0:
-            raise ValueError(f"alpha must lie in (1, 2], got {self.alpha}")
-        if not 0.5 < self.gamma <= 1.0:
-            raise ValueError(f"gamma must lie in (1/2, 1], got {self.gamma}")
-        if not 0.0 < self.epsilon < 1.0:
-            raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon}")
-
-    @property
-    def m_in_core_range(self) -> bool:
-        """Whether m sits in the core working range (2, 3)."""
-        return 2.0 < self.m < 3.0
-
-    @property
-    def concavity_route_available(self) -> bool:
-        """m >= 2.36 keeps the concavity argument's leading sign in check."""
-        return self.m >= 2.36
-
-
-def build_f(m: float, epsilon: float) -> PowerSum:
-    """Radial profile ``h**m - epsilon**m`` as a PowerSum."""
-    return PowerSum(((1.0, m), (-math.pow(epsilon, m), 0.0)))
 
 
 def _radius(x):

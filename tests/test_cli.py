@@ -4,9 +4,11 @@ import io
 import json
 import math
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from carleman_cone.cli import RunConfig, UsageError, execute, main, parse_config
+from carleman_cone.cli import RunConfig, UsageError, _parse_m_grid, execute, main, parse_config
 
 
 COMMANDS = ("solve", "gamma1", "check", "frontier", "scan", "quadrature", "identities")
@@ -103,6 +105,16 @@ class TestParseConfig:
         assert len(cfg.m_grid) == 9
         assert cfg.m_grid[0] == pytest.approx(2.1)
         assert cfg.m_grid[-1] == pytest.approx(2.9)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0), st.integers(1, 40))
+    @example(2.1, 2.9, 1)
+    @example(2.9, 2.1, 5)
+    @example(2.5, 2.5, 3)
+    @example(5e-324, 1e-323, 7)  # the step underflows to 0
+    def test_m_grid_is_numpy_linspace_to_the_bit(self, lo, hi, count):
+        grid = _parse_m_grid(f"{lo!r}:{hi!r}:{count}")
+        assert [v.hex() for v in grid] == [float(v).hex() for v in np.linspace(lo, hi, count)]
 
     def test_bad_m_grid(self):
         with pytest.raises(UsageError):
@@ -274,6 +286,12 @@ class TestQuadratureCommand:
             assert rep["pass"] is True
             assert rep["K"] <= 240.0
             assert rep["lhs"] <= rep["rhs"]
+
+    def test_bump_outside_the_cone_exits_3(self, capsys):
+        assert main(["quadrature", "--eps", "0.975"]) == 3
+        out = capsys.readouterr()
+        assert out.err == "error: corner (3.2, -0.8) exits the cone (epsilon=0.975)\n"
+        assert out.out == ""
 
     def test_grid_validation(self, capsys):
         # each side of the peak needs a node: 1 per axis is a usage error, 2 is not

@@ -8,7 +8,11 @@ from carleman_cone.conditions import direct_feasibility
 from carleman_cone.solver import (
     AllInfeasibleError,
     NonConvergenceError,
+    SingularJacobianError,
+    _COND_LIMIT,
     _jacobian_critical,
+    _newton,
+    _solve_linear,
     frontier_epsilon,
     residuals_critical,
     scan_frontier,
@@ -74,7 +78,42 @@ class TestJacobian:
                         y[j] = t
                         return mp_residuals(*y)[i]
                     ref = float(mpmath.diff(r_i, x[j]))
-                    assert abs(jac[i, j] - ref) <= 1e-12 * abs(ref), (i, j, jac[i, j], ref)
+                    assert abs(jac[i][j] - ref) <= 1e-12 * abs(ref), (i, j, jac[i][j], ref)
+
+
+class TestLinearSolve:
+    @pytest.mark.parametrize("point", [(0.80, 2.45, 0.65), (1.0, 2.1, 0.3), (0.7, 2.2, 0.1)])
+    def test_step_and_inverse_match_numpy(self, point):
+        jac = _jacobian_critical(*point)
+        b = list(residuals_critical(*point))
+        step, *inv_cols = _solve_linear(jac, [b, [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        np.testing.assert_allclose(step, np.linalg.solve(jac, b), rtol=1e-13, atol=1e-15)
+        np.testing.assert_allclose(np.transpose(inv_cols), np.linalg.inv(jac),
+                                   rtol=1e-13, atol=1e-15)
+
+    def test_zero_pivot_is_singular(self):
+        assert _solve_linear([[1.0, 2.0], [2.0, 4.0]], [[1.0, 3.0]]) is None
+
+
+class TestSingularJacobian:
+    """``_newton`` refuses a Jacobian whose infinity-norm condition number exceeds the limit."""
+
+    def test_rank_deficient(self):
+        with pytest.raises(SingularJacobianError):
+            _newton(lambda x: (x[0] + 2.0 * x[1] - 1.0, 2.0 * x[0] + 4.0 * x[1] - 3.0),
+                    lambda x: [[1.0, 2.0], [2.0, 4.0]], (0.0, 0.0), 1e-12, 10)
+
+    @pytest.mark.parametrize("scale", [1.0 + 1e-6, 1.0 - 1e-6])
+    def test_limit(self, scale):
+        # J = diag(1, d) has |J| = 1 and |J^-1| = 1/d in the infinity norm
+        d = 1.0 / (_COND_LIMIT * scale)
+        args = (lambda x: (x[0] - 1.0, d * (x[1] - 2.0)),
+                lambda x: [[1.0, 0.0], [0.0, d]], (0.0, 0.0), 1e-12, 10)
+        if scale > 1.0:
+            with pytest.raises(SingularJacobianError, match=r"exceeds 1e\+14 at \(0\.0, 0\.0\)"):
+                _newton(*args)
+        else:
+            assert _newton(*args) == ([1.0, 2.0], 1)
 
 
 class TestResiduals:
