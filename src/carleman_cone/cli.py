@@ -38,6 +38,8 @@ from .solver import (
 
 __all__ = ["RunConfig", "parse_config", "execute", "main"]
 
+_M_GRID_MAX = 10_000  # the most m values one scan takes, each a frontier search
+
 
 class UsageError(Exception):
     """Invalid flags or config; maps to exit code 3."""
@@ -53,6 +55,8 @@ def _parse_m_grid(text: str) -> list[float]:
         raise UsageError(f"bad m_grid {text!r}: {exc}") from exc
     if count < 1:
         raise UsageError(f"m_grid count must be >= 1, got {count}")
+    if count > _M_GRID_MAX:
+        raise UsageError(f"m_grid count must be at most {_M_GRID_MAX}, got {count}")
     if count == 1:
         return [0.0 * (hi - lo) + lo]
     # np.linspace(lo, hi, count) to the bit: i * step + lo, the last node hi,

@@ -151,7 +151,10 @@ def _homogeneity(params: WeightParams, rng: np.random.Generator, dim: int) -> Id
     # row 0 holds the points, row k their scaling by lam[k - 1]
     xs = np.moveaxis(np.concatenate([pts[None], lam[:, :, None] * pts]), -1, 0)
     v, g, H = phi_eval(xs, params), grad_phi(xs, params), hess_phi(xs, params)
-    dv = np.abs(v[1:] - lam ** a * v[0]) / np.abs(v[0])
+    # phi = x1^m r^(a-m) - eps^m r^a cancels as eps -> 1: measure against its terms
+    r = np.linalg.norm(xs, axis=0)
+    terms = xs[0] ** params.m * r ** (a - params.m) + params.epsilon ** params.m * r ** a
+    dv = np.abs(v[1:] - lam ** a * v[0]) / terms[1:]
     dg = np.linalg.norm(g[:, 1:] - lam ** (a - 1.0) * g[:, :1], axis=0) / np.linalg.norm(g[:, 0], axis=0)
     dH = (np.max(np.abs(H[:, :, 1:] - lam ** (a - 2.0) * H[:, :, :1]), axis=(0, 1))
           / np.max(np.abs(H[:, :, 0]), axis=(0, 1)))

@@ -9,8 +9,7 @@ compared byte for byte anyway.  The requests are the distinct ``session``
 argv of the benchmark's seeds 0 and 5, the README examples, the CI
 commands, and every subcommand on the CI's all-keys config file (without
 its ``csv`` key, which writes a file); the README and CI commands come in
-text and ``--json``.  The 9-point ``scan`` of the README is left out for
-its run time; the config file's 3-point scan covers the command.
+text and ``--json``.
 
 Rerun it only when an output changes on purpose, and list each changed
 argv in CHANGES.md.
@@ -57,6 +56,7 @@ COMMANDS = (
     "quadrature --K 400 --K-cap 400 --grid 21",
     "quadrature --a 0 --K 439 --K-cap 439 --grid 21",
     "frontier --m 2.9",
+    "scan --m-grid 2.1:2.9:9",
     "check --m 2.9 --alpha 1.999 --eps 0.6323693847656251",
     "check --m 2.9 --alpha 1.999 --eps 0.6323338",
 )

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from carleman_cone.cli import RunConfig, UsageError, _parse_m_grid, execute, main, parse_config
+from carleman_cone.cli import (_M_GRID_MAX, RunConfig, UsageError, _parse_m_grid, execute, main,
+                               parse_config)
 
 
 COMMANDS = ("solve", "gamma1", "check", "frontier", "scan", "quadrature", "identities")
@@ -119,6 +120,16 @@ class TestParseConfig:
     def test_bad_m_grid(self):
         with pytest.raises(UsageError):
             parse_config(["scan", "--m-grid", "2.1-2.9-9"])
+
+    def test_m_grid_count_is_bounded(self, capsys):
+        assert len(_parse_m_grid(f"2.1:2.9:{_M_GRID_MAX}")) == _M_GRID_MAX
+        with pytest.raises(UsageError, match=f"at most {_M_GRID_MAX}, got {_M_GRID_MAX + 1}$"):
+            _parse_m_grid(f"2.1:2.9:{_M_GRID_MAX + 1}")
+        # from a flag and from a config file alike
+        assert main(["scan", "--m-grid", "2.1:2.9:1000000"]) == 3
+        assert f"at most {_M_GRID_MAX}" in capsys.readouterr().err
+        with pytest.raises(UsageError, match=f"at most {_M_GRID_MAX}"):
+            parse_config(["scan"], "m_grid = 2.1:2.9:1000000\n")
 
     def test_repeatable_a(self):
         cfg = parse_config(["quadrature", "--a", "0.5", "--a", "2.0"])

@@ -51,6 +51,15 @@ def test_derivative_row_holds_for_every_seed(params):
     assert failed == []
 
 
+@pytest.mark.parametrize("dim", ["2", "3"])
+@pytest.mark.parametrize("eps", ["0.9998", "0.9999", "0.99999"])
+def test_every_row_passes_as_eps_nears_one(eps, dim, capsys):
+    # phi = x1^m r^(a-m) - eps^m r^a cancels as eps -> 1; measured against
+    # |phi| rather than its terms, the homogeneity row failed on rounding
+    # from eps = 0.9998 (1.1e-10 against its 1e-10 bound)
+    assert main(["identities", "--eps", eps, "--dim", dim]) == 0, capsys.readouterr().out
+
+
 # the boundary law (m-1) - (m+1) eps^2 is positive at the defaults, negative
 # at the second set and zero to rounding at the third
 @pytest.mark.parametrize("params", [
@@ -97,12 +106,14 @@ def test_a_nan_from_the_evaluator_fails_the_check(monkeypatch, name, checks):
         assert not check(DEFAULT_PARAMS, np.random.default_rng(0), 2).passed, check.__name__
 
 
-def test_importing_the_cli_builds_no_grid_cell():
+def test_importing_identities_builds_no_grid_cell():
+    # the module itself, in a fresh interpreter: the cli imports it only
+    # inside its runner, so importing the cli would prove nothing
     code = ("import sys\n"
             "calls = []\n"
             "sys.setprofile(lambda frame, event, arg: calls.append(frame.f_code.co_name)\n"
             "               if event == 'call' and frame.f_code.co_name == 'build_l' else None)\n"
-            "import carleman_cone.cli\n"
+            "import carleman_cone.identities\n"
             "sys.setprofile(None)\n"
             "print(len(calls))\n")
     src = str(Path(identities.__file__).resolve().parents[1])

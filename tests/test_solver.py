@@ -1,3 +1,4 @@
+import functools
 import math
 import re
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from carleman_cone.conditions import direct_feasibility
+from carleman_cone import solver
 from carleman_cone.solver import (
     AllInfeasibleError,
     NonConvergenceError,
@@ -244,6 +246,18 @@ class TestFrontier:
         res = frontier_epsilon("beta_eq_m", alpha=1.999, m=2.999, tol=1e-3)
         assert res.epsilon_sup <= math.sqrt(1.999 / 3.999) + 1e-9
 
+    @pytest.mark.parametrize("family, m", [("beta_eq_m", 2.46), ("beta_eq_alpha", None)])
+    def test_tol_below_the_float_spacing_ends_one_ulp_wide(self, family, m):
+        # the bisection used to spin on a midpoint equal to an end
+        res = frontier_epsilon(family, alpha=1.999, m=m, tol=1e-17)
+        lo, hi = res.bracket.lo, res.bracket.hi
+        assert res.epsilon_sup == lo and math.nextafter(lo, 1.0) == hi
+        exponent = m or 1.999
+        assert direct_feasibility(WeightParams(m=exponent, alpha=1.999, gamma=1.0,
+                                               epsilon=lo)).overall == "feasible"
+        assert direct_feasibility(WeightParams(m=exponent, alpha=1.999, gamma=1.0,
+                                               epsilon=hi)).overall != "feasible"
+
     def test_bad_family_and_ranges(self):
         with pytest.raises(ValueError):
             frontier_epsilon("beta_eq_q", alpha=1.999)
@@ -251,6 +265,111 @@ class TestFrontier:
             frontier_epsilon("beta_eq_m", alpha=1.999, m=3.4)
         with pytest.raises(ValueError):
             frontier_epsilon("beta_eq_m", alpha=2.0, m=2.46)
+
+
+def reference_frontier(family, alpha, m=None, tol=1e-4):
+    """``frontier_epsilon``'s bisection with one certificate per probe, as it ran
+    before the l1 estimate: ``(epsilon_sup, bracket, evaluations)``."""
+    exponent = m if family == "beta_eq_m" else alpha
+    evaluations = 0
+
+    def feasible(eps):
+        nonlocal evaluations
+        evaluations += 1
+        params = WeightParams(m=exponent, alpha=alpha, gamma=1.0, epsilon=eps)
+        return direct_feasibility(params).overall == "feasible"
+
+    lo, hi = 0.01, 0.99
+    if not feasible(lo):
+        raise AllInfeasibleError(f"infeasible already at epsilon = {lo}")
+    if feasible(hi):
+        lo = hi
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if feasible(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo, (lo, hi), evaluations
+
+
+@functools.lru_cache(maxsize=None)
+def cached_reference(family, alpha, m, tol):
+    try:
+        return reference_frontier(family, alpha, m, tol)
+    except AllInfeasibleError as exc:
+        return str(exc)
+
+
+# The alpha family over the benchmark's `session` frontiers, alpha in [1.95, 1.999], and the
+# CLI's `scan --m-grid 2.1:2.9:9`.
+ALPHA_GRID = tuple(1.95 + 0.049 * i / 20 for i in range(21))
+SCAN_GRID = tuple(i * ((2.9 - 2.1) / 8) + 2.1 for i in range(8)) + (2.9,)
+FRONTIER_INPUTS = (
+    [("beta_eq_alpha", a, None) for a in (1.05, 1.2, 1.5, 1.8, 1.9) + ALPHA_GRID]
+    + [("beta_eq_m", a, m) for m in SCAN_GRID + (2.01, 2.45, 2.5, 2.51, 2.52, 2.55, 2.99)
+       for a in (1.8, 1.95, 1.999)]
+)
+ALL_INFEASIBLE = [("beta_eq_alpha", 1.01, None), ("beta_eq_m", 1.5, 2.3)]
+
+
+def assert_matches_reference(family, alpha, m, tol):
+    ref = cached_reference(family, alpha, m, tol)
+    if isinstance(ref, str):
+        with pytest.raises(AllInfeasibleError) as info:
+            frontier_epsilon(family, alpha=alpha, m=m, tol=tol)
+        assert str(info.value) == ref
+        return None
+    res = frontier_epsilon(family, alpha=alpha, m=m, tol=tol)
+    eps_sup, bracket, evaluations = ref
+    assert (res.epsilon_sup, (res.bracket.lo, res.bracket.hi)) == (eps_sup, bracket)
+    assert res.evaluations <= evaluations + 2
+    return res
+
+
+class TestFrontierEstimate:
+    """Two certificates at the estimate's bracket replace the bisection's probes,
+    and the answer is the reference bisection's to the bit."""
+
+    @pytest.mark.parametrize("tol", [1e-4, 1e-7])
+    @pytest.mark.parametrize("family, alpha, m", FRONTIER_INPUTS + ALL_INFEASIBLE)
+    def test_bit_identical_to_reference(self, family, alpha, m, tol):
+        assert_matches_reference(family, alpha, m, tol)
+
+    @pytest.mark.parametrize("tol", [1e-4, 1e-7])
+    def test_two_certificates_on_scan_and_session_grids(self, tol):
+        for family, alpha, m in ([("beta_eq_m", 1.999, m) for m in SCAN_GRID]
+                                 + [("beta_eq_alpha", a, None) for a in ALPHA_GRID]):
+            assert frontier_epsilon(family, alpha=alpha, m=m, tol=tol).evaluations == 2, (alpha, m)
+
+    @pytest.mark.parametrize("tol", [1e-4, 1e-7])
+    @pytest.mark.parametrize("family, alpha, m", [
+        ("beta_eq_alpha", 1.999, None), ("beta_eq_m", 1.999, 2.46), ("beta_eq_m", 1.8, 2.9),
+    ])
+    def test_wrong_estimates_cost_certificates_not_the_answer(self, monkeypatch, family, alpha,
+                                                              m, tol):
+        _, (lo, hi), _ = cached_reference(family, alpha, m, tol)
+        # far below and far above the frontier, the bisection's first midpoint,
+        # and the two ends of its final bracket
+        for estimate in (0.02, 0.98, 0.5, lo, hi):
+            monkeypatch.setattr(solver, "_l1_frontier",
+                                lambda *_, e=estimate: (lambda eps: eps <= e))
+            res = assert_matches_reference(family, alpha, m, tol)
+            if estimate == lo:
+                assert res.evaluations == 2
+
+    @pytest.mark.parametrize("estimate", [0.02, 0.5])
+    def test_wrong_estimate_still_finds_all_infeasible(self, monkeypatch, estimate):
+        monkeypatch.setattr(solver, "_l1_frontier", lambda *_: (lambda eps: eps <= estimate))
+        assert_matches_reference("beta_eq_m", 1.5, 2.3, 1e-4)
+
+    @pytest.mark.parametrize("alpha, m", [(1.999, 2.46), (1.999, 2.9), (1.8, 2.99), (1.5, 2.1)])
+    def test_stand_in_brackets_the_reference_frontier(self, alpha, m):
+        # both branches: the boundary law at m = 2.46, l1's interior minimum else
+        holds = solver._l1_frontier(m, alpha)
+        _, (lo, hi), _ = cached_reference("beta_eq_m", alpha, m, 1e-7)
+        assert holds(lo) and not holds(hi)
+        assert not holds(math.sqrt((m - 1.0) / (m + 1.0)) * (1.0 + 1e-9))
 
 
 class TestScan:
