@@ -122,13 +122,24 @@ def _shifted(pts: np.ndarray, delta: float) -> np.ndarray:
     return pts + steps.reshape((2, dim) + (1,) * (pts.ndim - 1) + (dim,))
 
 
+def _term_size(xs: np.ndarray, params: WeightParams, order: int = 0) -> np.ndarray:
+    """``(x1^m r^(a-m) + eps^m r^a) / r^order`` at ``xs`` (coordinate first): phi's two terms.
+
+    They cancel as eps -> 1, so the rows measure phi's errors (order 0), its
+    gradient's (order 1) and its Hessian's (order 2) against their size.
+    """
+    a, m = params.alpha, params.m
+    r = np.linalg.norm(xs, axis=0)
+    return (xs[0] ** m * r ** (a - m) + params.epsilon ** m * r ** a) / r ** order
+
+
 def _grad_fd(params: WeightParams, rng: np.random.Generator, dim: int) -> IdentityResult:
     pts = sample_cone_points(params, 100, rng, dim=dim)
     delta = 1e-6
     g = grad_phi(pts.T, params)
     v = phi_eval(np.moveaxis(_shifted(pts, delta), -1, 0), params)
     fd = (v[0] - v[1]) / (2.0 * delta)
-    err = np.linalg.norm(fd - g, axis=0) / np.maximum(np.linalg.norm(g, axis=0), 1e-12)
+    err = np.linalg.norm(fd - g, axis=0) / _term_size(pts.T, params, 1)
     worst = float(np.max(err))
     return IdentityResult("grad_phi_fd", worst <= 1e-6, f"worst relative error {worst:.3g}")
 
@@ -151,13 +162,11 @@ def _homogeneity(params: WeightParams, rng: np.random.Generator, dim: int) -> Id
     # row 0 holds the points, row k their scaling by lam[k - 1]
     xs = np.moveaxis(np.concatenate([pts[None], lam[:, :, None] * pts]), -1, 0)
     v, g, H = phi_eval(xs, params), grad_phi(xs, params), hess_phi(xs, params)
-    # phi = x1^m r^(a-m) - eps^m r^a cancels as eps -> 1: measure against its terms
-    r = np.linalg.norm(xs, axis=0)
-    terms = xs[0] ** params.m * r ** (a - params.m) + params.epsilon ** params.m * r ** a
-    dv = np.abs(v[1:] - lam ** a * v[0]) / terms[1:]
-    dg = np.linalg.norm(g[:, 1:] - lam ** (a - 1.0) * g[:, :1], axis=0) / np.linalg.norm(g[:, 0], axis=0)
+    dv = np.abs(v[1:] - lam ** a * v[0]) / _term_size(xs[:, 1:], params)
+    dg = (np.linalg.norm(g[:, 1:] - lam ** (a - 1.0) * g[:, :1], axis=0)
+          / _term_size(xs[:, 1:], params, 1))
     dH = (np.max(np.abs(H[:, :, 1:] - lam ** (a - 2.0) * H[:, :, :1]), axis=(0, 1))
-          / np.max(np.abs(H[:, :, 0]), axis=(0, 1)))
+          / _term_size(xs[:, 1:], params, 2))
     worst = float(np.max([np.max(dv), np.max(dg), np.max(dH)]))
     return IdentityResult("homogeneity", worst <= 1e-10, f"worst relative error {worst:.3g}")
 
@@ -166,7 +175,7 @@ def _euler(params: WeightParams, rng: np.random.Generator, dim: int) -> Identity
     pts = sample_cone_points(params, 100, rng, dim=dim)
     lhs = np.sum(pts.T * grad_phi(pts.T, params), axis=0)
     rhs = params.alpha * phi_eval(pts.T, params)
-    worst = float(np.max(np.abs(lhs - rhs) / np.maximum(np.abs(rhs), 1e-12)))
+    worst = float(np.max(np.abs(lhs - rhs) / _term_size(pts.T, params)))
     return IdentityResult("euler_identity", worst <= 1e-10, f"worst relative error {worst:.3g}")
 
 

@@ -1,11 +1,11 @@
 """Root finding and frontier search over the weight-family parameters.
 
 Two solvers live here: one damped Newton iteration with a closed-form
-Jacobian, for the critical three-equation system linking (gamma, m,
-epsilon0) and for its gamma = 1 corner; and a feasibility-frontier
-bisection that finds the supremum opening parameter epsilon for which the
-direct certificate still passes.  A small utility iterates the uniqueness
-horizon ``T_{k+1} = (1 - T_k) T_1 + T_k`` toward 1.
+Jacobian, for the critical system (three of ``conditions``' own equations
+in (gamma, m, epsilon0), at alpha = 2) and for its gamma = 1 corner; and a
+feasibility-frontier bisection that finds the supremum opening parameter
+epsilon for which the direct certificate still passes.  A small utility
+iterates the uniqueness horizon ``T_{k+1} = (1 - T_k) T_1 + T_k`` toward 1.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from .algebra import Interval
-from .conditions import WeightParams, build_l, direct_feasibility
+from .conditions import WeightParams, build_l, direct_feasibility, gamma_condition, l1_boundary_law
 
 __all__ = [
     "SolverResult",
@@ -60,7 +60,6 @@ class SolverResult:
     theta_deg: float
     residuals: tuple[float, float, float]
     iterations: int
-    converged: bool
 
 
 @dataclass(frozen=True)
@@ -86,24 +85,15 @@ class FrontierRow:
 
 
 def residuals_critical(gamma: float, m: float, e: float) -> tuple[float, float, float]:
-    """Residuals of the critical system at (gamma, m, e).
+    """Residuals of the critical system: three of ``conditions``' own, at alpha = 2.
 
-    R1 = 4(2g-1) - g^2 (4 - g^2 (m-1)/4)
-    R2 = (m-1)/(m+1) - e^2
-    R3 = (4 - g^2 (m-1)/4 - m) - (4 - g^2 (m-1)/4) e^m
+    They are ``gamma_condition``, ``l1_boundary_law / (m+1)`` and ``l2(1)``.  ``WeightParams``
+    rejects gamma and e out of range; m is held to (2, 3) here, as it admits m down to 1.
     """
-    if not 0.5 < gamma <= 1.0:
-        raise ValueError(f"gamma must lie in (1/2, 1], got {gamma}")
     if not 2.0 < m < 3.0:
         raise ValueError(f"m must lie in (2, 3), got {m}")
-    if not 0.0 < e < 1.0:
-        raise ValueError(f"e must lie in (0, 1), got {e}")
-    g2 = gamma * gamma
-    q = g2 * (m - 1.0) / 4.0
-    r1 = 4.0 * (2.0 * gamma - 1.0) - g2 * (4.0 - q)
-    r2 = (m - 1.0) / (m + 1.0) - e * e
-    r3 = (4.0 - q - m) - (4.0 - q) * math.pow(e, m)
-    return r1, r2, r3
+    p = WeightParams(m=m, alpha=2.0, gamma=gamma, epsilon=e)
+    return gamma_condition(p), l1_boundary_law(p) / (m + 1.0), build_l("l2", p).eval(1.0)
 
 
 def _jacobian_critical(gamma: float, m: float, e: float) -> list[list[float]]:
@@ -210,8 +200,7 @@ def solve_critical_system(
     (gamma, m, e), steps = _newton(lambda x: residuals_critical(*x),
                                    lambda x: _jacobian_critical(*x), init, tol, max_iter)
     return SolverResult(gamma=gamma, m=m, epsilon0=e, theta_deg=math.degrees(2.0 * math.acos(e)),
-                        residuals=residuals_critical(gamma, m, e), iterations=steps,
-                        converged=True)
+                        residuals=residuals_critical(gamma, m, e), iterations=steps)
 
 
 def solve_gamma1(tol: float = 1e-10) -> tuple[float, float]:

