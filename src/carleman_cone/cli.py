@@ -18,7 +18,7 @@ import functools
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, make_dataclass
 from pathlib import Path
 from typing import Any, Callable, NamedTuple, Optional, Sequence
 
@@ -39,6 +39,10 @@ from .solver import (
 __all__ = ["RunConfig", "parse_config", "execute", "main"]
 
 _M_GRID_MAX = 10_000  # the most m values one scan takes, each a frontier search
+# The most quadrature nodes per axis: math.isqrt(quad._BLOCK_NODES), so that one
+# row of a 3-D slab fits a block, and Gauss-Legendre's O(n**2) build stays small.
+_GRID_MAX = 362
+_BOOLS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 
 
 class UsageError(Exception):
@@ -96,7 +100,8 @@ _KEYS = {
               "all values must be finite and >= 0"),
     "K": _Key(float, 60.0, lambda v: v > 0.0, "must be positive"),
     "K_cap": _Key(float, 240.0, None, ""),  # bounded in _validate
-    "grid": _Key(int, None, lambda v: v >= 2, "needs at least 2 nodes per axis"),  # per dim
+    "grid": _Key(int, None, lambda v: 2 <= v <= _GRID_MAX,  # default per dim
+                 f"needs at least 2 and at most {_GRID_MAX} nodes per axis"),
     "tol": _Key(float, None, lambda v: v > 0.0, "must be positive"),  # per subcommand
     "max_iter": _Key(int, 100, lambda v: v >= 1, "must be >= 1"),
     "m_grid": _Key(_parse_m_grid, None, lambda v: all(2.0 < x < 3.0 for x in v),
@@ -106,35 +111,17 @@ _KEYS = {
                  "gamma,m,e must lie in (1/2, 1] x (2, 3) x (0, 1)"),
     "family": _Key(str, "m", lambda v: v in ("m", "alpha"), "must be m or alpha"),
     "seed": _Key(int, 42, lambda v: v >= 0, "must be >= 0"),
-    "json": _Key(lambda s: s.strip().lower() in ("1", "true", "yes"), False, None, ""),
-    "csv": _Key(str, None, None, ""),
+    "json": _Key(lambda s: _BOOLS.get(s.strip().lower(), s), False,
+                 lambda v: isinstance(v, bool), "must be true/false, yes/no or 1/0"),
+    "csv": _Key(str, None, lambda v: v != "", "must be a non-empty path"),
 }
 
-
-@dataclass
-class RunConfig:
-    command: str
-    m: float
-    alpha: float
-    gamma: float
-    eps: float
-    dim: int
-    a: list[float]
-    K: float
-    K_cap: float
-    grid: int
-    tol: Optional[float]        # None for the subcommands that read no tol
-    max_iter: int
-    m_grid: Optional[list[float]]
-    init: tuple[float, float, float]
-    family: str
-    seed: int
-    json: bool
-    csv: Optional[str]
-
-    @property
-    def params(self) -> WeightParams:
-        return WeightParams(m=self.m, alpha=self.alpha, gamma=self.gamma, epsilon=self.eps)
+# One field per key, after the subcommand; tol, m_grid and csv may be None.
+RunConfig = make_dataclass("RunConfig", ["command", *_KEYS], namespace={
+    "__module__": __name__,
+    "params": property(lambda self: WeightParams(
+        m=self.m, alpha=self.alpha, gamma=self.gamma, epsilon=self.eps)),
+})
 
 
 class _Parser(argparse.ArgumentParser):
@@ -216,7 +203,7 @@ def parse_config(argv: Sequence[str], file_text: Optional[str] = None) -> RunCon
     for key, value in values.items():
         spec = _KEYS[key]
         if value is not None and spec.rule is not None and not spec.rule(value):
-            raise UsageError(f"{key}: {spec.domain}, got {value}")
+            raise UsageError(f"{key}: {spec.domain}, got {value!r}")
 
     cfg = RunConfig(command=ns.command, **values)
     _validate(cfg)
@@ -269,15 +256,7 @@ def _verdict_json(v) -> dict[str, Any]:
 def _envelope(cfg: RunConfig, result: Any, verdicts: dict[str, Any]) -> dict[str, Any]:
     return {
         "command": cfg.command,
-        "params": {
-            "m": cfg.m,
-            "alpha": cfg.alpha,
-            "gamma": cfg.gamma,
-            "eps": cfg.eps,
-            "dim": cfg.dim,
-            "K": cfg.K,
-            "a_list": cfg.a,
-        },
+        "params": {key: getattr(cfg, key) for key in _COMMANDS[cfg.command].flags},
         "result": result,
         "verdicts": verdicts,
         "version": __version__,
@@ -444,7 +423,8 @@ class _Command(NamedTuple):
 
 
 # Every subcommand.  Any flag it does not list is a usage error; config-file
-# keys are accepted by every subcommand.
+# keys are accepted by every subcommand.  The flags, with the values the run
+# used, are the --json envelope's params.
 _COMMANDS = {
     "solve": _Command(_run_solve, 1e-12, ("init", "tol", "max_iter")),
     "gamma1": _Command(_run_gamma1, 1e-10, ("tol",)),

@@ -12,7 +12,10 @@ its ``csv`` key, which writes a file); the README and CI commands come in
 text and ``--json``.
 
 Rerun it only when an output changes on purpose, and list each changed
-argv in CHANGES.md.
+argv in CHANGES.md.  It keeps every recorded row whose replay still
+matches (``mismatch``), so rows that no change touched keep their recorded
+floats; it rewrites only the rows that differ or are new, and prints their
+argv.
 """
 
 from __future__ import annotations
@@ -20,6 +23,8 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import math
+import re
 import sys
 from pathlib import Path
 
@@ -30,6 +35,9 @@ CORPUS = HERE / "cli.jsonl"
 # Rows whose floats come from numpy and may move in the last bits between
 # numpy versions; the replay compares their numbers at a relative bound.
 FLOAT_COMMANDS = ("quadrature", "identities")
+# The relative bound within which those rows' numbers replay.
+REL = 1e-12
+NUMBER = re.compile(r"([-+]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?)")
 # Byte-compared stdout longer than this is stored as its sha256.
 INLINE_LIMIT = 600
 
@@ -113,8 +121,35 @@ def run(argv: list[str], config: str | None) -> tuple[int, str]:
     return code, buf.getvalue()
 
 
-def row(argv: list[str], config: str | None) -> dict:
-    code, stdout = run(argv, config)
+def recorded_rows() -> list[dict]:
+    if not CORPUS.exists():
+        return []
+    return [json.loads(line) for line in CORPUS.read_text(encoding="utf-8").splitlines()]
+
+
+def same_up_to_floats(got: str, want: str) -> bool:
+    """Equal text between the numbers, and numbers within ``REL`` of each other."""
+    got_parts, want_parts = NUMBER.split(got), NUMBER.split(want)
+    if len(got_parts) != len(want_parts):
+        return False
+    return all(g == w or (i % 2 == 1 and math.isclose(float(g), float(w), rel_tol=REL))
+               for i, (g, w) in enumerate(zip(got_parts, want_parts)))
+
+
+def mismatch(row: dict, code: int, stdout: str) -> str | None:
+    """What differs between one row and its replay, or None."""
+    if code != row["code"]:
+        return f"exit {code}, recorded {row['code']}"
+    if "sha256" in row:
+        same = hashlib.sha256(stdout.encode("utf-8")).hexdigest() == row["sha256"]
+    elif row["argv"][0] in FLOAT_COMMANDS:
+        same = same_up_to_floats(stdout, row["stdout"])
+    else:
+        same = stdout == row["stdout"]
+    return None if same else f"stdout differs:\n{stdout}"
+
+
+def row(argv: list[str], config: str | None, code: int, stdout: str) -> dict:
     out = {"argv": argv, "config": config, "code": code}
     if argv[0] in FLOAT_COMMANDS or len(stdout) <= INLINE_LIMIT:
         out["stdout"] = stdout
@@ -124,7 +159,17 @@ def row(argv: list[str], config: str | None) -> dict:
 
 
 def main() -> int:
-    rows = [row(argv, config) for argv, config in requests()]
+    recorded = {(tuple(r["argv"]), r["config"]): r for r in recorded_rows()}
+    rows = []
+    for argv, config in requests():
+        code, stdout = run(argv, config)
+        old = recorded.get((tuple(argv), config))
+        if old is not None and mismatch(old, code, stdout) is None:
+            rows.append(old)
+            continue
+        rows.append(row(argv, config, code, stdout))
+        note = "" if config is None else " (with config)"
+        print(f"{'changed' if old else 'new'}: {' '.join(argv)}{note}")
     CORPUS.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
     print(f"wrote {len(rows)} rows to {CORPUS.relative_to(ROOT)}")
     return 0

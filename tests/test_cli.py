@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import io
 import json
 import math
@@ -8,7 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from carleman_cone.cli import (_M_GRID_MAX, RunConfig, UsageError, _parse_m_grid, execute, main,
+from carleman_cone import cli, quad
+from carleman_cone.cli import (_GRID_MAX, _M_GRID_MAX, UsageError, _parse_m_grid, execute, main,
                                parse_config)
 
 
@@ -25,7 +25,7 @@ IN_DOMAIN = (
 OUT_OF_DOMAIN = (
     ("K", "-1"), ("seed", "-1"), ("grid", "1"), ("a", "inf"), ("m", "3.5"), ("eps", "1.5"),
     ("gamma", "0.4"), ("max_iter", "0"), ("tol", "-1"), ("dim", "4"), ("family", "beta"),
-    ("init", "0.4,2.5,0.6"), ("m_grid", "1:5:3"),
+    ("init", "0.4,2.5,0.6"), ("m_grid", "1:5:3"), ("json", "ture"), ("csv", ""),
 )
 
 
@@ -81,7 +81,7 @@ class TestParseConfig:
         assert cfg.m == 2.5 and cfg.csv == "out.csv" and cfg.K == 5.0
         # one file setting every key in its domain serves all seven subcommands
         keys = {key for key, _ in IN_DOMAIN}
-        assert keys == {f.name for f in dataclasses.fields(RunConfig)} - {"command"}
+        assert keys == set(cli._KEYS)
         text = "\n".join(f"{key} = {value}" for key, value in IN_DOMAIN)
         for command in COMMANDS:
             cfg = parse_config([command], file_text=text)
@@ -96,6 +96,12 @@ class TestParseConfig:
         path.write_text(f"{key} = {value}\n", encoding="utf-8")
         assert main([command, "--config", str(path)]) == 3
         assert f"{key}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, value", [
+        ("true", True), ("YES", True), ("1", True), ("False", False), ("no", False), ("0", False),
+    ])
+    def test_json_spellings(self, text, value):
+        assert parse_config(["gamma1"], f"json = {text}\n").json is value
 
     def test_missing_subcommand(self):
         with pytest.raises(UsageError):
@@ -176,6 +182,40 @@ class TestParseConfig:
         assert "a: all values must be finite" in capsys.readouterr().err
 
 
+def config_text(params):
+    """An envelope's ``params`` written back as a config file."""
+    lines = []
+    for key, value in params.items():
+        if key == "m_grid":
+            value = f"{value[0]!r}:{value[-1]!r}:{len(value)}"
+        elif key in ("a", "init"):
+            value = ",".join(repr(v) for v in value)
+        elif value is None:  # an unset csv
+            continue
+        lines.append(f"{key} = {value}")
+    return "\n".join(lines) + "\n"
+
+
+class TestEnvelope:
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--init", "0.79,2.44,0.66"],
+        ["gamma1", "--tol", "1e-9"],
+        ["check", "--eps", "0.63"],
+        ["frontier", "--m", "2.9", "--tol", "1e-3"],
+        ["scan", "--m-grid", "2.4:2.5:2", "--tol", "1e-2"],
+        ["quadrature", "--grid", "11", "--a", "0.1", "--a", "1", "--K", "5", "--K-cap", "10"],
+        ["identities", "--seed", "7", "--dim", "3"],
+    ], ids=COMMANDS)
+    def test_params_are_the_flags_and_round_trip(self, argv):
+        code, text = run(argv + ["--json"])
+        params = json.loads(text)["params"]
+        assert list(params) == list(cli._COMMANDS[argv[0]].flags)
+        cfg = parse_config([argv[0], "--json"], file_text=config_text(params))
+        buf = io.StringIO()
+        assert execute(cfg, stream=buf) == code
+        assert buf.getvalue() == text
+
+
 class TestSolveCommand:
     def test_json_headline(self):
         code, doc = run_json(["solve"])
@@ -192,16 +232,6 @@ class TestSolveCommand:
         code, doc = run_json(["solve", "--init", "0.99,2.9,0.7", "--max-iter", "1"])
         assert code == 2
         assert "error" in doc["result"]
-
-    def test_json_roundtrip(self):
-        # solve takes no weight flags; the envelope's params go in a config file
-        code, doc = run_json(["solve"])
-        text = "\n".join(f"{key} = {doc['params'][key]!r}"
-                         for key in ("m", "alpha", "gamma", "eps"))
-        cfg = parse_config(["solve", "--json"], file_text=text)
-        buf = io.StringIO()
-        assert execute(cfg, stream=buf) == code
-        assert json.loads(buf.getvalue())["result"] == doc["result"]
 
 
 class TestGamma1Command:
@@ -238,16 +268,6 @@ class TestCheckCommand:
         code, text = run(["check", "--eps", "0.67"])
         assert code == 1
         assert "l1_direct" in text
-
-    def test_roundtrip_identical(self):
-        code, doc = run_json(["check", "--eps", "0.63"])
-        p = doc["params"]
-        code2, doc2 = run_json([
-            "check", "--m", repr(p["m"]), "--alpha", repr(p["alpha"]),
-            "--gamma", repr(p["gamma"]), "--eps", repr(p["eps"]),
-        ])
-        assert doc2["result"] == doc["result"]
-        assert doc2["verdicts"] == doc["verdicts"]
 
 
 class TestFrontierCommand:
@@ -313,6 +333,17 @@ class TestQuadratureCommand:
         assert "grid" in capsys.readouterr().err
         code, _ = run(["quadrature", "--grid", "10"])
         assert code == 0
+
+    def test_grid_is_bounded(self, capsys):
+        # one row of a 3-D slab, grid**2 nodes, fits a block
+        assert _GRID_MAX == math.isqrt(quad._BLOCK_NODES)
+        assert parse_config(["quadrature", "--grid", str(_GRID_MAX)]).grid == _GRID_MAX
+        assert parse_config(["quadrature"], f"grid = {_GRID_MAX}\n").grid == _GRID_MAX
+        # from a flag and from a config file alike, before anything is built
+        assert main(["quadrature", "--grid", str(_GRID_MAX + 1)]) == 3
+        assert f"at most {_GRID_MAX} nodes" in capsys.readouterr().err
+        with pytest.raises(UsageError, match=f"grid: .*at most {_GRID_MAX} nodes"):
+            parse_config(["identities"], f"grid = {_GRID_MAX + 1}\n")
 
     # from K near 320 the log b curvature of Newton's start overflows in
     # numpy products (RuntimeWarning) though the report stays finite
