@@ -169,8 +169,8 @@ class PowerSum:
         """Enclosure of the range over ``region``; needs ``region.lo > 0``.
 
         Each monomial is monotone on positive intervals, so its bounds come
-        from the two endpoint powers, padded by ``_POW_UNITS`` units; the
-        scaled term and each partial sum are padded by one unit.
+        from the endpoint powers (one on a point region), padded by
+        ``_POW_UNITS`` units; the scaled term and each partial sum by one.
         """
         lo, hi = region.lo, region.hi
         if lo <= 0.0:
@@ -181,7 +181,7 @@ class PowerSum:
                 vlo = vhi = 1.0
             else:
                 vlo = math.pow(lo, p)
-                vhi = math.pow(hi, p)
+                vhi = vlo if hi == lo else math.pow(hi, p)
                 if p < 0.0:
                     vlo, vhi = vhi, vlo
                 vlo -= _POW_UNITS * (_REL * abs(vlo) + _ABS)

@@ -5,8 +5,8 @@ weight parameters: power-sum identities at the coefficient level,
 derivative and Hessian consistency against finite differences,
 homogeneity, boundary vanishing, and the boundary sign law.  Every row
 reads the given parameters, and the point-sampling rows also the seed and
-dimension; random points come from a seeded generator so runs are
-reproducible.  The CLI exposes this as the ``identities`` subcommand.  The
+dimension; random points come from ``random.Random(seed)``, the same on
+every platform.  The CLI exposes this as the ``identities`` subcommand.  The
 identities that hold for every parameter value are proved symbolically in
 ``tests/test_symbolic.py``; the rows here evaluate them in floats.
 """
@@ -14,6 +14,7 @@ identities that hold for every parameter value are proved symbolically in
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,19 +36,37 @@ class IdentityResult:
     detail: str
 
 
-def _directions(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
-    """``count`` random unit vectors in the ``dim - 1`` axes orthogonal to x1."""
+def _uniform(rng: random.Random, *shape: int) -> np.ndarray:
+    """Floats uniform on ``[0, 1)`` of ``shape``, 53 random bits each, drawn in one call."""
+    bits = np.frombuffer(rng.randbytes(8 * math.prod(shape)), dtype="<u8") >> 11
+    return (bits * 2.0 ** -53).reshape(shape)
+
+
+def _polar_points(rng: random.Random, count: int, dim: int, h_range, log_r_range) -> np.ndarray:
+    """``count`` points ``r (h, sqrt(1 - h^2) v)`` from one draw of ``rng``: ``h`` uniform on
+    ``h_range``, ``log r`` on ``log_r_range``, ``v`` a unit vector orthogonal to x1 (normalised
+    Box-Muller normals, which leave a sign in 2-D and one pair's angle in 3-D)."""
+    u = _uniform(rng, 3 if dim <= 3 else 2 * dim, count)
+    h = h_range[0] + (h_range[1] - h_range[0]) * u[0]
+    r = np.exp(log_r_range[0] + (log_r_range[1] - log_r_range[0]) * u[1])
+    side = r * np.sqrt(1.0 - h * h)
+    pts = np.empty((count, dim))
+    pts[:, 0] = h * r
     if dim == 2:
-        return rng.choice([-1.0, 1.0], size=(count, 1))
-    angles = rng.normal(size=(count, dim - 1))
-    angles /= np.linalg.norm(angles, axis=1, keepdims=True)
-    return angles
+        pts[:, 1] = np.where(u[2] < 0.5, -side, side)
+    elif dim == 3:
+        angle = 2.0 * math.pi * u[2]
+        pts[:, 1], pts[:, 2] = side * np.cos(angle), side * np.sin(angle)
+    else:
+        v = np.sqrt(-2.0 * np.log1p(-u[2:dim + 1])) * np.cos(2.0 * math.pi * u[dim + 1:])
+        pts[:, 1:] = (side * v / np.sqrt(np.sum(v * v, axis=0))).T
+    return pts
 
 
 def sample_cone_points(
     params: WeightParams,
     count: int,
-    rng: np.random.Generator,
+    rng: random.Random,
     dim: int = 2,
     h_min_offset: float = 0.02,
 ) -> np.ndarray:
@@ -62,12 +81,7 @@ def sample_cone_points(
     low, high = eps + h_min_offset, 0.999
     if low > high:
         low, high = 0.5 * (1.0 + eps), 1.0
-    h = rng.uniform(low, high, size=count)
-    r = np.exp(rng.uniform(0.0, math.log(10.0), size=count))
-    pts = np.empty((count, dim))
-    pts[:, 0] = h * r
-    pts[:, 1:] = (r * np.sqrt(1.0 - h * h))[:, None] * _directions(rng, count, dim)
-    return pts
+    return _polar_points(rng, count, dim, (low, high), (0.0, math.log(10.0)))
 
 
 def _coefficient_identity_l3(params: WeightParams) -> IdentityResult:
@@ -97,12 +111,12 @@ def _coefficient_identity_hfpp(params: WeightParams) -> IdentityResult:
     )
 
 
-def _derivative_consistency(params: WeightParams, rng: np.random.Generator) -> IdentityResult:
+def _derivative_consistency(params: WeightParams, rng: random.Random) -> IdentityResult:
     f = conditions.build_l("l2", params)
     fp = f.derivative()
     delta = 1e-6
     worst = 0.0
-    for h in rng.uniform(0.2, 0.9, size=50):
+    for h in (0.2 + 0.7 * _uniform(rng, 50)).tolist():
         fd = (f.eval(h + delta) - f.eval(h - delta)) / (2.0 * delta)
         scale = sum(abs(c) * math.pow(h, q) for c, q in fp.terms)  # f' may nearly vanish
         worst = max(worst, abs(fd - fp.eval(h)) / max(scale, 1e-12))
@@ -133,7 +147,7 @@ def _term_size(xs: np.ndarray, params: WeightParams, order: int = 0) -> np.ndarr
     return (xs[0] ** m * r ** (a - m) + params.epsilon ** m * r ** a) / r ** order
 
 
-def _grad_fd(params: WeightParams, rng: np.random.Generator, dim: int) -> IdentityResult:
+def _grad_fd(params: WeightParams, rng: random.Random, dim: int) -> IdentityResult:
     pts = sample_cone_points(params, 100, rng, dim=dim)
     delta = 1e-6
     g = grad_phi(pts.T, params)
@@ -144,7 +158,7 @@ def _grad_fd(params: WeightParams, rng: np.random.Generator, dim: int) -> Identi
     return IdentityResult("grad_phi_fd", worst <= 1e-6, f"worst relative error {worst:.3g}")
 
 
-def _hess_fd(params: WeightParams, rng: np.random.Generator, dim: int) -> IdentityResult:
+def _hess_fd(params: WeightParams, rng: random.Random, dim: int) -> IdentityResult:
     pts = sample_cone_points(params, 50, rng, dim=dim)
     delta = 1e-4
     H = hess_phi(pts.T, params)
@@ -155,7 +169,7 @@ def _hess_fd(params: WeightParams, rng: np.random.Generator, dim: int) -> Identi
     return IdentityResult("hess_phi_fd", worst <= 1e-5, f"worst absolute error {worst:.3g}")
 
 
-def _homogeneity(params: WeightParams, rng: np.random.Generator, dim: int) -> IdentityResult:
+def _homogeneity(params: WeightParams, rng: random.Random, dim: int) -> IdentityResult:
     pts = sample_cone_points(params, 100, rng, dim=dim)
     a = params.alpha
     lam = np.array([0.5, 2.0, 7.0])[:, None]
@@ -171,7 +185,7 @@ def _homogeneity(params: WeightParams, rng: np.random.Generator, dim: int) -> Id
     return IdentityResult("homogeneity", worst <= 1e-10, f"worst relative error {worst:.3g}")
 
 
-def _euler(params: WeightParams, rng: np.random.Generator, dim: int) -> IdentityResult:
+def _euler(params: WeightParams, rng: random.Random, dim: int) -> IdentityResult:
     pts = sample_cone_points(params, 100, rng, dim=dim)
     lhs = np.sum(pts.T * grad_phi(pts.T, params), axis=0)
     rhs = params.alpha * phi_eval(pts.T, params)
@@ -179,19 +193,16 @@ def _euler(params: WeightParams, rng: np.random.Generator, dim: int) -> Identity
     return IdentityResult("euler_identity", worst <= 1e-10, f"worst relative error {worst:.3g}")
 
 
-def boundary_points(params: WeightParams, count: int, rng: np.random.Generator, dim: int = 2) -> np.ndarray:
+def boundary_points(params: WeightParams, count: int, rng: random.Random, dim: int = 2) -> np.ndarray:
     """Points on the computed cone boundary ``x1 = fl(epsilon * |x|)``, 1 < r < 100."""
     eps = params.epsilon
-    r = np.exp(rng.uniform(math.log(1.02), math.log(99.0), size=count))
-    pts = np.empty((count, dim))
-    pts[:, 1:] = (r * math.sqrt(1.0 - eps * eps))[:, None] * _directions(rng, count, dim)
-    pts[:, 0] = eps * r
+    pts = _polar_points(rng, count, dim, (eps, eps), (math.log(1.02), math.log(99.0)))
     # One fixed-point pass so x1 matches the recomputed norm.
     pts[:, 0] = eps * _radius(pts.T)
     return pts
 
 
-def _boundary_vanishing(params: WeightParams, rng: np.random.Generator, dim: int) -> IdentityResult:
+def _boundary_vanishing(params: WeightParams, rng: random.Random, dim: int) -> IdentityResult:
     # phi ~ r^alpha h^m, so the rounding of h = x1/r on the computed boundary
     # leaves a residue of a few eps_mach * r^alpha; 8 of them bound it.
     pts = boundary_points(params, 100, rng, dim=dim)
@@ -201,7 +212,7 @@ def _boundary_vanishing(params: WeightParams, rng: np.random.Generator, dim: int
                           f"worst |phi|/r^alpha {worst:.3g}")
 
 
-def _hessian_correction_psd(params: WeightParams, rng: np.random.Generator, dim: int) -> IdentityResult:
+def _hessian_correction_psd(params: WeightParams, rng: random.Random, dim: int) -> IdentityResult:
     pts = sample_cone_points(params, 200, rng, dim=dim, h_min_offset=1e-3)
     a = params.alpha
     r = np.linalg.norm(pts, axis=1)
@@ -236,7 +247,7 @@ def run_identity_suite(
     dim: int = 2,
 ) -> list[IdentityResult]:
     """Run every structural identity check; deterministic for a fixed seed."""
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     results = [
         _coefficient_identity_l3(params),
         _coefficient_identity_hfpp(params),

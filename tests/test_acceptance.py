@@ -5,9 +5,9 @@ lines in passing runs as well.
 """
 
 import math
+import random
 import time
 
-import numpy as np
 import pytest
 
 from carleman_cone.conditions import (
@@ -142,7 +142,7 @@ def test_criterion_6_structural_identities():
     # is looser than this criterion's absolute 1e-12 above |x| ~ 21; so the
     # absolute bound is checked here too, on the criterion's own 100
     # boundary points (drawn from seed 42 after 100 cone points).
-    rng = np.random.default_rng(42)
+    rng = random.Random(42)
     sample_cone_points(PARAMS, 100, rng)
     worst_boundary = max(
         abs(phi_eval(x, PARAMS)) for x in boundary_points(PARAMS, 100, rng)

@@ -221,9 +221,11 @@ class TestInterval:
         coefs = [c for p, _, _, _ in cases for c, _ in p.terms]
         assert 0.0 in exps and min(exps) < 0.0 and any(q != int(q) for q in exps)
         assert min(coefs) < 0.0
+        # point regions too, whose enclosure computes each power once
         for p, lo, hi, _ in cases:
-            enc = p.eval_interval(Interval(lo, hi))
-            assert (enc.lo, enc.hi) == reference_eval_interval(p, lo, hi)
+            for a, b in ((lo, hi), (lo, lo), (hi, hi), (0.5 * (lo + hi),) * 2):
+                enc = p.eval_interval(Interval(a, b))
+                assert (enc.lo, enc.hi) == reference_eval_interval(p, a, b)
 
     def test_overflow_is_rejected(self):
         p = PowerSum(((1e308, 0.0), (1e308, 1.0)))

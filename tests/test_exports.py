@@ -46,6 +46,25 @@ def test_certifier_processes_never_import_numpy():
                                        "gamma1")]
 
 
+def test_no_subcommand_loads_numpy_random():
+    # the identity suite draws its points from the standard library's random
+    code = (
+        "import contextlib, io, json, sys\n"
+        "seen = []\n"
+        "from carleman_cone.cli import main\n"
+        "for argv in (['identities', '--dim', '2'], ['identities', '--dim', '3'],\n"
+        "             ['quadrature', '--grid', '21']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = main(argv)\n"
+        "    seen.append([argv[0], 'numpy.random' in sys.modules, code])\n"
+        "print(json.dumps(seen))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert json.loads(out.stdout) == [[step, False, 0] for step in
+                                      ("identities", "identities", "quadrature")]
+
+
 def _benchmark_tracing() -> types.ModuleType:
     """``perfbench/tracing.py``, compiled from its text so that nothing is written beside it."""
     path = ROOT / "perfbench" / "tracing.py"

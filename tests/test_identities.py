@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 from dataclasses import replace
@@ -18,8 +19,27 @@ from carleman_cone.identities import (
     _hess_fd,
     _hessian_correction_psd,
     _homogeneity,
+    _polar_points,
     run_identity_suite,
+    sample_cone_points,
 )
+
+
+def test_sampler_draws_from_the_standard_library_generator():
+    # at h_range = log_r_range = (0, 0) a point is (0, v), its direction itself
+    rng = random.Random(0)
+    h = _polar_points(rng, 10_000, 2, (0.3, 0.7), (0.0, 0.0))[:, 0]
+    assert 0.3 <= h.min() and h.max() < 0.7
+    signs = _polar_points(rng, 1000, 2, (0.0, 0.0), (0.0, 0.0))[:, 1]
+    assert set(signs) == {-1.0, 1.0}
+    for dim in (3, 4):
+        v = _polar_points(rng, 1000, dim, (0.0, 0.0), (0.0, 0.0))
+        assert np.all(v[:, 0] == 0.0)
+        assert np.max(np.abs(np.linalg.norm(v[:, 1:], axis=1) - 1.0)) <= 1e-15
+    for dim in (2, 3):
+        first, again = (sample_cone_points(DEFAULT_PARAMS, 50, random.Random(7), dim=dim)
+                        for _ in range(2))
+        assert first.shape == (50, dim) and np.array_equal(first, again)
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -27,7 +47,7 @@ def test_boundary_vanishing_holds_for_every_seed(dim):
     # boundary points reach |x| = 99, where phi's rounding residue scales
     # like |x|^alpha; an absolute bound failed on a few percent of seeds
     failed = [seed for seed in range(200)
-              if not _boundary_vanishing(DEFAULT_PARAMS, np.random.default_rng(seed), dim).passed]
+              if not _boundary_vanishing(DEFAULT_PARAMS, random.Random(seed), dim).passed]
     assert failed == []
 
 
@@ -36,7 +56,7 @@ def test_boundary_vanishing_holds_for_every_seed(dim):
 @pytest.mark.parametrize("dim", [2, 3])
 def test_pointwise_check_holds_for_every_seed(check, dim):
     failed = [(seed, result.detail) for seed in range(200)
-              if not (result := check(DEFAULT_PARAMS, np.random.default_rng(seed), dim)).passed]
+              if not (result := check(DEFAULT_PARAMS, random.Random(seed), dim)).passed]
     assert failed == []
 
 
@@ -47,7 +67,7 @@ def test_derivative_row_holds_for_every_seed(params):
     # nearly vanishes, so the error is measured against the size of the
     # terms of l2', not against |l2'|, which would magnify rounding past 1e-6
     failed = [(seed, result.detail) for seed in range(200)
-              if not (result := _derivative_consistency(params, np.random.default_rng(seed))).passed]
+              if not (result := _derivative_consistency(params, random.Random(seed))).passed]
     assert failed == []
 
 
@@ -105,7 +125,7 @@ def test_a_nan_from_the_evaluator_fails_the_check(monkeypatch, name, checks):
 
     monkeypatch.setattr(identities, name, first_nan)
     for check in checks:
-        assert not check(DEFAULT_PARAMS, np.random.default_rng(0), 2).passed, check.__name__
+        assert not check(DEFAULT_PARAMS, random.Random(0), 2).passed, check.__name__
 
 
 def test_importing_identities_builds_no_grid_cell():

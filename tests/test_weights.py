@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -90,12 +91,12 @@ class TestPhi:
         assert v == pytest.approx(1.0 - 0.6 ** 2.46, rel=1e-12)
 
     def test_boundary_zero(self):
-        rng = np.random.default_rng(5)
+        rng = random.Random(5)
         for x in boundary_points(PARAMS, 100, rng):
             assert abs(phi_eval(x, PARAMS)) <= 1e-12
 
     def test_homogeneity(self):
-        rng = np.random.default_rng(11)
+        rng = random.Random(11)
         pts = sample_cone_points(PARAMS, 100, rng)
         for lam in (0.5, 2.0, 7.0):
             # doubling is exact in binary; the generic scalings get 1e-10
@@ -119,7 +120,7 @@ class TestGradPhi:
         assert g[1] == pytest.approx(0.0, abs=1e-15)
 
     def test_finite_differences(self):
-        rng = np.random.default_rng(13)
+        rng = random.Random(13)
         delta = 1e-6
         for x in sample_cone_points(PARAMS, 100, rng):
             g = grad_phi(x, PARAMS)
@@ -135,7 +136,7 @@ class TestGradPhi:
         assert g[1] == 0.0 and g[2] == 0.0
 
     def test_euler_identity(self):
-        rng = np.random.default_rng(17)
+        rng = random.Random(17)
         for x in sample_cone_points(PARAMS, 100, rng):
             lhs = float(np.dot(x, grad_phi(x, PARAMS)))
             assert lhs == pytest.approx(PARAMS.alpha * phi_eval(x, PARAMS), rel=1e-10)
@@ -143,13 +144,13 @@ class TestGradPhi:
 
 class TestHessPhi:
     def test_symmetric_exactly(self):
-        rng = np.random.default_rng(19)
+        rng = random.Random(19)
         for x in sample_cone_points(PARAMS, 20, rng):
             H = hess_phi(x, PARAMS)
             assert np.array_equal(H, H.T)
 
     def test_finite_differences(self):
-        rng = np.random.default_rng(23)
+        rng = random.Random(23)
         delta = 1e-4
         for x in sample_cone_points(PARAMS, 50, rng):
             H = hess_phi(x, PARAMS)
@@ -167,7 +168,7 @@ class TestHessPhi:
             assert np.max(np.abs(fd - H)) <= 1e-5
 
     def test_trace_matches_fd_laplacian(self):
-        rng = np.random.default_rng(29)
+        rng = random.Random(29)
         delta = 1e-4
         for x in sample_cone_points(PARAMS, 30, rng):
             tr = float(np.trace(hess_phi(x, PARAMS)))
@@ -181,7 +182,7 @@ class TestHessPhi:
 
     def test_correction_term_psd(self):
         # B = r^(2-alpha) hess - (alpha f - h f') I is PSD at cone points
-        rng = np.random.default_rng(31)
+        rng = random.Random(31)
         worst = math.inf
         for x in sample_cone_points(PARAMS, 200, rng, h_min_offset=1e-3):
             r = float(np.linalg.norm(x))
@@ -195,7 +196,7 @@ class TestHessPhi:
         assert worst >= -1e-10
 
     def test_dimension_generic(self):
-        rng = np.random.default_rng(37)
+        rng = random.Random(37)
         delta = 1e-4
         for x in sample_cone_points(PARAMS, 10, rng, dim=3):
             H = hess_phi(x, PARAMS)
@@ -219,7 +220,7 @@ class TestPointStacks:
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_stack_matches_pointwise(self, dim):
-        pts = sample_cone_points(PARAMS, 60, np.random.default_rng(53), dim=dim)
+        pts = sample_cone_points(PARAMS, 60, random.Random(53), dim=dim)
         for fn, shape in ((phi_eval, ()), (grad_phi, (dim,)), (hess_phi, (dim, dim))):
             stacked = fn(pts.T, PARAMS)
             assert stacked.shape == shape + (60,)
@@ -252,7 +253,7 @@ class TestLogWeight:
         assert L == pytest.approx(-(10.0 + 60.0) / 8.0, rel=1e-14)
 
     def test_boundary_drops_phi_term(self):
-        rng = np.random.default_rng(43)
+        rng = random.Random(43)
         x = boundary_points(PARAMS, 1, rng)[0]
         t, K = 0.37, 60.0
         L = log_weight(x, t, a=5.0, K=K, params=PARAMS)
@@ -261,7 +262,7 @@ class TestLogWeight:
 
     def test_direct_formula_recomputation(self):
         # independent re-evaluation of the exponent formula, two K values
-        rng = np.random.default_rng(47)
+        rng = random.Random(47)
         for x in sample_cone_points(PARAMS, 10, rng):
             for K in (60.0, 120.0):
                 t, a = 0.41, 2.5
