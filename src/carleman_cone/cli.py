@@ -39,8 +39,8 @@ from .solver import (
 __all__ = ["RunConfig", "parse_config", "execute", "main"]
 
 _M_GRID_MAX = 10_000  # the most m values one scan takes, each a frontier search
-# The most quadrature nodes per axis: math.isqrt(quad._BLOCK_NODES), so that one
-# row of a 3-D slab fits a block, and Gauss-Legendre's O(n**2) build stays small.
+# The most quadrature nodes per axis, math.isqrt(32 * quad._SLAB_NODES): a 3-D slab's
+# one-row floor holds at most 2**17 nodes, and Gauss-Legendre's O(n**2) build stays small.
 _GRID_MAX = 362
 _BOOLS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 

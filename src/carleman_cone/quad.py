@@ -25,20 +25,20 @@ Laplace width out to the end of the bump's support; ``F - F*``
 is evaluated as an expansion about the peak whose terms keep their
 relative precision; and both sides are accumulated against the same
 ``exp(F - F*)``, as 1-D sums where it splits by axis (a concentrated peak) and
-otherwise over slabs of axis 0 of at most ``_BLOCK_NODES`` spatial nodes,
-each streamed over blocks against all time nodes in one matrix product, so
-no array of the whole spatial tensor is built.  One evaluator
-(``_exponent_factors``) takes broadcasting offsets: a slab's axes, or a
-"star" of every axis's 1-D offsets at once.  Every tensor is a ``sum`` or
-``math.prod`` of ``np.ix_`` views of per-axis arrays.  ``lhs`` and ``rhs``
-are relative to ``exp(CarlemanReport.log_scale)``.
+otherwise over slabs of axis 0 of at most ``_SLAB_NODES`` spatial nodes,
+each streamed in blocks of ``_BLOCK_NODES`` exponents against all time
+nodes, so a call's arrays peak near 1 MB (1.3e5 doubles) while a row fits a
+slab.  One evaluator (``_exponent_factors``) takes broadcasting offsets: a
+slab's axes, or a "star" of every axis's 1-D offsets at once.  Every tensor
+is a ``sum`` or ``math.prod`` of ``np.ix_`` views of per-axis arrays.
+``lhs`` and ``rhs`` are relative to ``exp(CarlemanReport.log_scale)``.
 
 The requested ``GridSpec`` sets the rule's node counts; Newton's method
 starts from the best node of a fixed lattice of ``_START_NODES`` per axis
-over the support, whatever the counts, with ``L`` on the lattice from
-``weights.log_weight``.  An axis whose best node is the first or last
-inside node starts instead where the slope of ``2 log b`` balances that
-of ``F`` (``_newton_start``).
+over the support, whatever the counts, with ``F`` on the lattice taken one
+time node at a time (15^dim doubles).  An axis whose best node is the first
+or last inside node starts instead where the slope of ``2 log b`` balances
+that of ``F`` (``_newton_start``).
 """
 
 from __future__ import annotations
@@ -222,7 +222,8 @@ _EXP_FLOOR = -700.0
 # grow with the grid.
 _START_NODES = 17
 # Exponents in one streamed block of spatial rows (times all time nodes).
-_BLOCK_NODES = 1 << 17
+_BLOCK_NODES = 1 << 15
+_SLAB_NODES = 1 << 12  # spatial nodes in one slab of axis 0 (one row at least)
 _NEWTON_STEPS = 500
 _EPS = float(np.finfo(float).eps)
 # Largest _separation_bound at which carleman_integrals sums per axis (below exp's rounding).
@@ -659,7 +660,7 @@ def _axis_rule(n: int, sigma: float, below: float, above: float, low, high, drop
 def _stream(X, T, R) -> np.ndarray:
     """``exp(max(X @ T, _EXP_FLOOR)) @ R`` over blocks of ``_BLOCK_NODES // T.shape[1]``
     rows of ``X`` (at least one), each one product over the whole time axis, so
-    the exponents take at most ``max(_BLOCK_NODES, T.shape[1])`` doubles."""
+    the exponents take at most ``max(_BLOCK_NODES, T.shape[1])`` doubles (256 KiB)."""
     block = max(1, _BLOCK_NODES // T.shape[1])
     out = np.empty((X.shape[0], R.shape[1]))
     for i in range(0, X.shape[0], block):
@@ -674,11 +675,13 @@ def _newton_start(lo, hi, s, params: WeightParams, a, K):
     """Newton's start point and axis modes for the bump, picked on a coarse lattice.
 
     The lattice has ``_START_NODES`` uniform nodes per axis over the bump's
-    support; the start is the node with the largest
-    ``F = L + 2 log B``.  An axis whose start is the bump's first (last)
-    inside node gets mode +1 (-1), so Newton moves it in the log of its
-    distance to the nearer edge, where a concentrated peak sits; the other
-    axes get mode 0.
+    support; the start is the inside node with the largest ``F = L + 2 log B``,
+    the first in C order among equal ones.  ``F`` is taken one time node at a
+    time, 15^dim doubles (27 KB in 3-D), from its parts in x and t in
+    ``log_weight``'s order of operations, so bit for bit as on the whole
+    lattice.  An axis whose start is the bump's first (last) inside node
+    gets mode +1 (-1), so Newton moves it in the log of its distance to the
+    nearer edge, where a concentrated peak sits; the other axes get mode 0.
 
     A concentrated peak sits far closer to the edges than any lattice node,
     and Newton, far from it, gains only about one unit of log edge distance
@@ -692,14 +695,20 @@ def _newton_start(lo, hi, s, params: WeightParams, a, K):
     alone, so an axis moves only where the weight's pull outweighs the
     bump's own slope.  Mode-0 axes keep the lattice start.
     """
-    axes = [np.linspace(start, stop, _START_NODES) for start, stop in zip(lo, hi)]
-    views = np.ix_(*axes)
-    F = (sum(np.ix_(*(2.0 * _log_b(ax - lo[i], hi[i] - ax, s[i]) for i, ax in enumerate(axes))))
-         + log_weight(views[:-1], views[-1], a, K, params))
-    index = np.unravel_index(int(np.argmax(F)), F.shape)
+    # the end nodes sit on the support's faces, where F = -inf, and are left out
+    axes = [np.linspace(start, stop, _START_NODES)[1:-1] for start, stop in zip(lo, hi)]
+    *b_x, b_t = [2.0 * _log_b(ax - lo[i], hi[i] - ax, s[i]) for i, ax in enumerate(axes)]
+    xs, t = np.ix_(*axes[:-1]), axes[-1]
+    b_x, phi, r_k = sum(np.ix_(*b_x)), phi_eval(xs, params), sum(v * v for v in xs) + K
+    amp, gauss = (2.0 * a * (np.power(t, -K) - 1.0)).tolist(), (8.0 * t).tolist()
+    picks = []
+    for k, (b_k, amp_k, gauss_k) in enumerate(zip(b_t.tolist(), amp, gauss)):
+        F = (b_x + b_k) + (amp_k * phi - r_k / gauss_k)
+        picks.append((F.flat[j := int(F.argmax())], -j, -k))  # equal maxima: the least j, then k
+    _, j, k = max(picks)
+    index = (*np.unravel_index(-j, b_x.shape), -k)
     x = np.array([ax[j] for ax, j in zip(axes, index)])
-    # the end nodes sit on the edges, where F = -inf
-    modes = np.array([1.0 if j == 1 else -1.0 if j == _START_NODES - 2 else 0.0 for j in index])
+    modes = np.array([1.0 if j == 0 else -1.0 if j == _START_NODES - 3 else 0.0 for j in index])
     point = _Point(x, x - lo, hi - x)
     if not np.any(modes):
         return point, modes
@@ -740,10 +749,11 @@ def carleman_integrals(
     as ``exp(F - F*)`` times the payloads divided by ``u^2``, expanded about
     the peak: per axis (``_axis_sums``, on one more ``_axis_exponents`` call)
     where ``_separation_bound`` keeps it within ``_CROSS_TOL`` of its one-axis
-    parts, and otherwise over slabs of axis 0 of at most ``_BLOCK_NODES``
+    parts, and otherwise over slabs of axis 0 of at most ``_SLAB_NODES``
     spatial nodes (one row at least), each streamed (``_stream``) and reduced
-    before the next is built.  ``lhs`` and ``rhs`` are reported
-    relative to ``exp(log_scale)``, the left integrand's Laplace scale (see CarlemanReport).
+    before the next is built: about 30 doubles a node, 1 MB (32 MB for a row
+    of 362^2).  ``lhs`` and ``rhs`` are reported relative to
+    ``exp(log_scale)``, the left integrand's Laplace scale (see CarlemanReport).
 
     For the default bump the peak is resolved up to ``K`` near 428 (for
     ``a = 10``; 431 for ``a = 0.1``), where Newton's time curvature
@@ -793,7 +803,7 @@ def carleman_integrals(
                                   w, g, h, scale)
         else:
             R = np.column_stack([w[dim], w[dim] * g[dim], w[dim] * g[dim] * g[dim]])
-            rows = max(1, _BLOCK_NODES // math.prod(grid.counts[1:dim]))
+            rows = max(1, _SLAB_NODES // math.prod(grid.counts[1:dim]))
             lhs = rhs = 0.0
             for k in range(0, grid.counts[0], rows):  # slabs of axis 0
                 o, ws, gs, hs = ([v[0][k:k + rows], *v[1:dim]] for v in (offsets, w, g, h))

@@ -335,8 +335,9 @@ class TestQuadratureCommand:
         assert code == 0
 
     def test_grid_is_bounded(self, capsys):
-        # one row of a 3-D slab, grid**2 nodes, fits a block
-        assert _GRID_MAX == math.isqrt(quad._BLOCK_NODES)
+        # a 3-D slab is one row of grid**2 nodes once a row outgrows
+        # _SLAB_NODES; at the largest grid that row fits 32 slabs' nodes, 2**17
+        assert _GRID_MAX == math.isqrt(32 * quad._SLAB_NODES)
         assert parse_config(["quadrature", "--grid", str(_GRID_MAX)]).grid == _GRID_MAX
         assert parse_config(["quadrature"], f"grid = {_GRID_MAX}\n").grid == _GRID_MAX
         # from a flag and from a config file alike, before anything is built

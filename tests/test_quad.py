@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -432,13 +433,23 @@ class TestStream:
 
 
 def record_paths(monkeypatch):
-    """Log which path each ``carleman_integrals`` call takes: per axis or streamed."""
+    """Log which path each ``carleman_integrals`` call takes: per axis or streamed.
+
+    A call starts with one ``_newton_start``; a streamed call runs ``_stream``
+    once per slab, and is logged once.
+    """
     import carleman_cone.quad as quad_mod
 
     paths = []
+
+    def start(*args, real=quad_mod._newton_start):
+        paths.append(None)
+        return real(*args)
+
+    monkeypatch.setattr(quad_mod, "_newton_start", start)
     for name, label in (("_axis_sums", "per-axis"), ("_stream", "streamed")):
         def logged(*args, real=getattr(quad_mod, name), label=label):
-            paths.append(label)
+            paths[-1] = label
             return real(*args)
 
         monkeypatch.setattr(quad_mod, name, logged)
@@ -661,25 +672,28 @@ class TestSeparableStream:
                     want = tensor_exponent(p, s, slope, one_axis(parts, j), a, K).ravel()
                     np.testing.assert_array_equal(got, want)
 
-    @pytest.mark.parametrize("dim, n, block_nodes", [
+    @pytest.mark.parametrize("dim, n, slab_nodes", [
         (2, 41, 100),  # two rows of axis 0 per slab, the last slab one row
         (3, 21, 1000),  # two rows per slab
         (3, 21, 300),  # fewer nodes than one row: one row per slab
+        (3, 21, None),  # the module's own slabs: 9 rows each, the last 3 rows
     ])
-    def test_slabs_agree_with_one_slab(self, dim, n, block_nodes, monkeypatch):
+    def test_slabs_agree_with_one_slab(self, dim, n, slab_nodes, monkeypatch):
         # a resolved request streamed in slabs of axis 0 against the same
         # request in one slab
         import carleman_cone.quad as quad_mod
 
         u = BUMP if dim == 2 else BUMP3
         grid = GridSpec.from_support(u, n)
+        slab_nodes = slab_nodes or quad_mod._SLAB_NODES
         for a in (0.1, 1.0):
+            monkeypatch.setattr(quad_mod, "_SLAB_NODES", n ** dim)
             whole = carleman_integrals(u, PARAMS, a, 0.5, grid)
             calls = record_exponents(monkeypatch)
-            monkeypatch.setattr(quad_mod, "_BLOCK_NODES", block_nodes)
+            monkeypatch.setattr(quad_mod, "_SLAB_NODES", slab_nodes)
             slabbed = carleman_integrals(u, PARAMS, a, 0.5, grid)
             monkeypatch.undo()
-            rows = max(1, block_nodes // n ** (dim - 1))
+            rows = max(1, slab_nodes // n ** (dim - 1))
             assert [size for size, _ in calls[1:]] == [
                 min(rows, n - k) * n ** (dim - 1) for k in range(0, n, rows)]
             assert slabbed.passed == whole.passed
@@ -687,19 +701,47 @@ class TestSeparableStream:
                 assert getattr(slabbed, field) == pytest.approx(getattr(whole, field),
                                                                 rel=1e-13, abs=0.0)
 
+    @pytest.mark.parametrize("dim, n, K, a_values", [
+        (2, 161, 0.5, (0.1, 1.0)), (3, 41, 60.0, (0.1, 1.0, 10.0))], ids=["resolved", "dim3"])
+    def test_one_request_stays_within_its_budget(self, dim, n, K, a_values):
+        # the benchmark's resolved and dim3 inputs: slabs of _SLAB_NODES,
+        # stream blocks of _BLOCK_NODES and a start lattice taken one time
+        # node at a time keep one call's arrays near 1.0 MB and 0.2 MB; slabs
+        # of 2**17 nodes, or the whole 17^4 lattice, take 5.0 and 2.2 MB
+        u = BUMP if dim == 2 else BUMP3
+        grid = GridSpec.from_support(u, n)
+        for a in a_values:
+            carleman_integrals(u, PARAMS, a, K, grid)  # caches the Gauss-Legendre rules
+            tracemalloc.start()
+            try:
+                carleman_integrals(u, PARAMS, a, K, grid)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1.5e6
+
     @pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4")
     def test_resolved_3d_request_memory_is_bounded(self):
         # 121^3 spatial nodes: an exponent built on the whole tensor peaks
-        # near 360 MB here, slabs of _BLOCK_NODES near the interpreter's own
-        # ~40 MB.  wait4 reads this child alone; ru_maxrss is in KiB on Linux.
+        # near 360 MB here, slabs of 2**17 nodes near 60 MB and slabs of one
+        # row (14,641 nodes, 3.5 MB of temporaries) near the interpreter's
+        # own ~32 MB.  A child's ru_maxrss counts the pages it shares with
+        # its parent before exec, which for this test process can exceed 100
+        # MB, so a small launcher starts the child and reads it alone with
+        # wait4; ru_maxrss is in KiB on Linux.
         src = str(Path(carleman_cone.__file__).resolve().parents[1])
-        cmd = [sys.executable, "-m", "carleman_cone", "quadrature", "--dim", "3",
-               "--grid", "121", "--K", "0.5", "--K-cap", "0.5", "--a", "1"]
-        proc = subprocess.Popen(cmd, stdout=subprocess.DEVNULL,
-                                env={**os.environ, "PYTHONPATH": src})
-        _, status, usage = os.wait4(proc.pid, 0)
-        assert os.waitstatus_to_exitcode(status) == 0
-        assert usage.ru_maxrss / 1024 < 150.0
+        launcher = ("import os, subprocess, sys\n"
+                    "proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)\n"
+                    "_, status, usage = os.wait4(proc.pid, 0)\n"
+                    "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n")
+        cmd = [sys.executable, "-c", launcher, sys.executable, "-m", "carleman_cone",
+               "quadrature", "--dim", "3", "--grid", "121", "--K", "0.5", "--K-cap", "0.5",
+               "--a", "1"]
+        out = subprocess.run(cmd, capture_output=True, text=True, check=True,
+                             env={**os.environ, "PYTHONPATH": src})
+        code, maxrss = map(int, out.stdout.split())
+        assert code == 0
+        assert maxrss / 1024 < 48.0
 
 
 def tensor_exponent(p, s, slope, offsets, a, K):
@@ -755,6 +797,29 @@ class TestNewtonStart:
         # evaluated on the lattice's nodes listed one by one, and an axis
         # whose best node is its first (last) node inside the support gets
         # mode +1 (-1) and may only move towards that edge
+        self.check_start(u, a, K, lambda lo_gap, hi_gap, s: -s * s / (lo_gap * hi_gap))
+
+    @pytest.mark.parametrize("u", [BUMP, BUMP3], ids=["2d", "3d"])
+    def test_ties_go_to_the_first_node_in_c_order(self, u, monkeypatch):
+        # The real F has no exact ties at its maximum, which sits on x2 = 0
+        # for these bumps at every a (0 to 1000) and K (0.5 to 400) tried.
+        # Here log b is rounded to whole units of 2**60, so L (of order 10)
+        # is lost in the sum and F is the same at every node 4 to 12 of every
+        # axis: the start is the first of them in C order, found across the
+        # time nodes as on the whole lattice
+        import carleman_cone.quad as quad_mod
+
+        def tied(lo_gap, hi_gap, s, real=quad_mod._log_b):
+            return 2.0 ** 60 * np.round(real(lo_gap, hi_gap, s))
+
+        monkeypatch.setattr(quad_mod, "_log_b", tied)
+        F, index = self.check_start(u, 1.0, 0.5, tied)
+        assert np.count_nonzero(F == F.max()) == 9 ** len(u.center)
+        assert index == (4,) * len(u.center)
+
+    @staticmethod
+    def check_start(u, a, K, log_b):
+        """``_newton_start`` against ``F = L + 2 sum log_b`` on the lattice's nodes one by one."""
         import carleman_cone.quad as quad_mod
 
         s = np.array(u.radii)
@@ -762,8 +827,7 @@ class TestNewtonStart:
         axes = [np.linspace(l, h, quad_mod._START_NODES) for l, h in zip(lo, hi)]
         nodes = np.array(list(itertools.product(*axes))).T
         with np.errstate(divide="ignore"):
-            F = (sum(2.0 * (-si * si / ((x - l) * (h - x)))
-                     for x, l, h, si in zip(nodes, lo, hi, s))
+            F = (sum(2.0 * log_b(x - l, h - x, si) for x, l, h, si in zip(nodes, lo, hi, s))
                  + log_weight(nodes[:-1], nodes[-1], a, K, PARAMS))
         best = int(np.argmax(F))
         index, node = np.unravel_index(best, [len(ax) for ax in axes]), nodes[:, best]
@@ -781,6 +845,7 @@ class TestNewtonStart:
         assert np.all((point.lo_gap > 0.0) & (point.hi_gap > 0.0))
         assert np.all(np.where(got > 0.0, point.lo_gap <= node - lo, True))
         assert np.all(np.where(got < 0.0, point.hi_gap <= hi - node, True))
+        return F, tuple(int(j) for j in index)
 
 
 class TestRemainders:
