@@ -21,13 +21,12 @@ __version__ = "0.1.0"
 _EXPORTS = {name: module for module, names in {
     "algebra": ("Interval", "PowerSum", "SignKind", "SignVerdict", "certify_sign"),
     "conditions": ("ConditionReport", "WeightParams", "build_f", "build_l", "build_lemma31",
-                   "direct_feasibility", "gamma_condition", "lemma31_check",
-                   "sufficient_route_check"),
+                   "direct_feasibility", "gamma_condition", "sufficient_route_check"),
     "quad": ("BumpFunction", "CarlemanReport", "GridSpec", "SupportViolationError",
              "carleman_integrals", "verify_carleman"),
     "solver": ("AllInfeasibleError", "FrontierResult", "NonConvergenceError",
                "SingularJacobianError", "SolverResult", "frontier_epsilon", "residuals_critical",
-               "scan_frontier", "solve_critical_system", "solve_gamma1", "uniqueness_horizon"),
+               "scan_frontier", "solve_critical_system", "solve_gamma1"),
     "weights": ("grad_phi", "hess_phi", "log_weight", "phi_eval"),
 }.items() for name in names}
 

@@ -2,12 +2,13 @@
 
 Subcommands: solve | gamma1 | check | frontier | scan | quadrature |
 identities.  Each subcommand accepts only the flags it reads (``_COMMANDS``),
-plus ``--json`` and ``--config``; a ``--config`` key=value file may set any
-key.  Flag values take precedence over the file, which takes precedence over
-defaults.  Every value is checked by its key's rule (``_KEYS``) whichever
-subcommand runs, and ``_validate`` checks the rules that tie keys together,
-among them the bound on ``K_cap``.  Exit codes: 0 success/pass, 1 certified
-failure or quadrature fail, 2 indeterminate or non-convergence, 3 usage error.
+plus ``--json`` and ``--config``, and ``frontier --family alpha`` reads no
+``--m``; a ``--config`` key=value file may set any key.  Flag values take
+precedence over the file, which takes precedence over defaults.  Every value
+is checked by its key's rule (``_KEYS``) whichever subcommand runs, and
+``_validate`` checks the rules that tie keys together, among them the bound
+on ``K_cap``.  Exit codes: 0 success/pass, 1 certified failure or quadrature
+fail, 2 indeterminate or non-convergence, 3 usage error.
 """
 
 from __future__ import annotations
@@ -23,8 +24,7 @@ from pathlib import Path
 from typing import Any, Callable, NamedTuple, Optional, Sequence
 
 from . import __version__
-from .conditions import (DIRECT_KEYS, ROUTE_KEYS, WeightParams, direct_feasibility,
-                         sufficient_route_check)
+from .conditions import WeightParams, direct_feasibility, sufficient_route_check
 from .solver import (
     DEFAULT_INIT,
     AllInfeasibleError,
@@ -204,6 +204,9 @@ def parse_config(argv: Sequence[str], file_text: Optional[str] = None) -> RunCon
         spec = _KEYS[key]
         if value is not None and spec.rule is not None and not spec.rule(value):
             raise UsageError(f"{key}: {spec.domain}, got {value!r}")
+    if ns.command == "frontier" and ns.m is not None and values["family"] == "alpha":
+        # the alpha family's exponent is alpha itself; a config file may still set m
+        raise UsageError(f"m: frontier --family alpha takes no --m, got {ns.m!r}")
 
     cfg = RunConfig(command=ns.command, **values)
     _validate(cfg)
@@ -313,8 +316,7 @@ def _run_check(cfg: RunConfig) -> tuple[int, Any, dict]:
     params = cfg.params
     direct = direct_feasibility(params, tol=cfg.tol)
     route = sufficient_route_check(params)
-    verdicts = {k: _verdict_json(route.checks[k]) for k in ROUTE_KEYS}
-    verdicts.update({k: _verdict_json(direct.checks[k]) for k in DIRECT_KEYS})
+    verdicts = {k: _verdict_json(v) for k, v in (route.checks | direct.checks).items()}
     failing = direct.failing_key
     result = {
         "overall": direct.overall,

@@ -5,7 +5,9 @@ on the interval ``[epsilon, 1]``.  Four profile conditions (keys
 ``lemma31_i..iv``) make the weight's Hessian correction nonnegative; the
 expression ``l1`` controls the cubic gradient form, ``l3``/``l4`` the mixed
 second-order form, and ``l2`` is the concavity workhorse of the
-gamma-decomposition route.  Two certifiers are provided:
+gamma-decomposition route.  Two certifiers are provided, each with one
+ordered table of its keys and the claim certified for each
+(``DIRECT_CLAIMS``, ``ROUTE_CLAIMS``):
 
 * :func:`sufficient_route_check` follows the decomposition route (gamma
   condition, concavity and endpoint signs), which is sufficient but not
@@ -13,6 +15,10 @@ gamma-decomposition route.  Two certifiers are provided:
 * :func:`direct_feasibility` certifies the profile conditions plus
   ``l1 >= 0`` and the ``l3`` lower bound directly with interval bisection
   and does not involve gamma at all.
+
+A table's order is its report's order, the order in which the report
+looks for the failing key, and the order of ``check --json``'s verdicts
+(the route's keys, then the direct ones).
 
 The parameter bundle ``WeightParams`` and the profile ``build_f`` live here
 too, so that the certified core (``algebra``, ``conditions``, ``solver``)
@@ -39,10 +45,11 @@ __all__ = [
     "WeightParams",
     "build_f",
     "ConditionReport",
+    "DIRECT_CLAIMS",
+    "ROUTE_CLAIMS",
     "DIRECT_KEYS",
     "ROUTE_KEYS",
     "build_lemma31",
-    "lemma31_check",
     "gamma_condition",
     "build_l",
     "sufficient_route_check",
@@ -50,33 +57,18 @@ __all__ = [
     "l1_boundary_law",
 ]
 
-DIRECT_KEYS = (
-    "lemma31_i",
-    "lemma31_ii",
-    "lemma31_iii",
-    "lemma31_iv",
-    "l1_direct",
-    "l3_lower_bound",
-)
-
-ROUTE_KEYS = (
-    "gamma_cond",
-    "l2_concavity",
-    "l2_at_eps",
-    "l2_at_1",
-    "l4_concavity",
-    "l4_at_eps",
-    "l4_at_1",
-)
-
-# Claim certified per report key.
-_CLAIMS = {
+# The direct certificate's keys, in report order, and the claim each certifies.
+DIRECT_CLAIMS = {
     "lemma31_i": ">=",
     "lemma31_ii": ">=",
     "lemma31_iii": ">=",
     "lemma31_iv": "<=",
     "l1_direct": ">=",
     "l3_lower_bound": ">=",
+}
+
+# The gamma route's keys, in report order, and the claim each certifies.
+ROUTE_CLAIMS = {
     "gamma_cond": ">=",
     "l2_concavity": "<=",
     "l2_at_eps": ">=",
@@ -85,6 +77,8 @@ _CLAIMS = {
     "l4_at_eps": ">",
     "l4_at_1": ">",
 }
+
+DIRECT_KEYS, ROUTE_KEYS = tuple(DIRECT_CLAIMS), tuple(ROUTE_CLAIMS)
 
 # Relative slack on the l3 lower bound so the certified claim does not sit
 # exactly on the bound.
@@ -140,8 +134,8 @@ class ConditionReport:
 
     ``overall`` is "feasible" when every checked condition confirms its
     claim, "infeasible" with the first refuted key in ``failing_key``, and
-    "indeterminate" when nothing is refuted but some certification did not
-    resolve.
+    "indeterminate", with the first unresolved key, when nothing is refuted
+    but some certification did not resolve.
     """
 
     checks: dict[str, SignVerdict]
@@ -149,25 +143,18 @@ class ConditionReport:
     failing_key: Optional[str] = None
 
     def confirmed(self, key: str) -> bool:
-        return self.checks[key].confirms(_CLAIMS[key])
+        return self.checks[key].confirms({**DIRECT_CLAIMS, **ROUTE_CLAIMS}[key])
 
 
-def _aggregate(checks: dict[str, SignVerdict], order) -> tuple[str, Optional[str]]:
-    indeterminate = None
-    for key in order:
-        verdict = checks[key]
-        if verdict.confirms(_CLAIMS[key]):
-            continue
-        if verdict.kind is SignKind.INDETERMINATE:
-            indeterminate = indeterminate or key
-            continue
-        return "infeasible", key
-    if indeterminate is not None:
-        return "indeterminate", indeterminate
-    return "feasible", None
+def _report(checks: dict[str, SignVerdict], claims: dict[str, str]) -> ConditionReport:
+    """The report on ``checks``: the first refuted key in table order, else the first unresolved."""
+    failed = [key for key, claim in claims.items() if not checks[key].confirms(claim)]
+    refuted = [key for key in failed if checks[key].kind is not SignKind.INDETERMINATE]
+    overall = "infeasible" if refuted else "indeterminate" if failed else "feasible"
+    return ConditionReport(checks, overall, (refuted or failed or [None])[0])
 
 
-def _scalar_check(value: float, claim: str, where: Optional[float] = None) -> SignVerdict:
+def _scalar_check(value: float, where: Optional[float], claim: str) -> SignVerdict:
     """Wrap the sign of a directly-computed scalar as a SignVerdict.
 
     ``where`` is the h-location of the evaluation when there is one (the
@@ -220,22 +207,6 @@ def build_lemma31(params: WeightParams) -> tuple[PowerSum, PowerSum, PowerSum, P
     third = (a * a - 2.0 * a) * f + (3.0 - 2.0 * a) * (_H * fp) + _H2 * fpp
     fourth = (a - 1.0) ** 2 * (fp * fp) + (2.0 * a - a * a) * (f * fpp) - _H * fp * fpp
     return f, fpp, third, fourth
-
-
-def lemma31_check(params: WeightParams, tol: float = DEFAULT_TOL) -> dict[str, SignVerdict]:
-    """Certify the four profile conditions on [epsilon, 1].
-
-    (i) is nonnegative with its declared boundary zero; (ii) and (iii) are
-    strictly positive for this family; (iv) is nonpositive.
-    """
-    region = Interval(params.epsilon, 1.0)
-    one, two, three, four = build_lemma31(params)
-    return {
-        "lemma31_i": certify_sign(one, region, ">=", known_zeros=(params.epsilon,), tol=tol),
-        "lemma31_ii": certify_sign(two, region, ">=", tol=tol),
-        "lemma31_iii": certify_sign(three, region, ">=", tol=tol),
-        "lemma31_iv": certify_sign(four, region, "<=", tol=tol),
-    }
 
 
 def gamma_condition(params: WeightParams) -> float:
@@ -306,19 +277,17 @@ def sufficient_route_check(params: WeightParams) -> ConditionReport:
     l2 = build_l("l2", params)
     l4 = build_l("l4", params)
     l4pp = l4.derivative().derivative()
-    checks = {
-        "gamma_cond": _scalar_check(gamma_condition(params), ">="),
-        "l2_concavity": _scalar_check(l2.leading_term()[0], "<="),
-        "l2_at_eps": _scalar_check(l2.eval(eps), ">=", where=eps),
-        "l2_at_1": _scalar_check(l2.eval(1.0), ">", where=1.0),
-        "l4_concavity": _scalar_check(
-            max(c for c, _ in l4pp.terms) if l4pp.terms else 0.0, "<="
-        ),
-        "l4_at_eps": _scalar_check(l4.eval(eps), ">", where=eps),
-        "l4_at_1": _scalar_check(l4.eval(1.0), ">", where=1.0),
+    values = {  # key -> (value, the h it is taken at)
+        "gamma_cond": (gamma_condition(params), None),
+        "l2_concavity": (l2.leading_term()[0], None),
+        "l2_at_eps": (l2.eval(eps), eps),
+        "l2_at_1": (l2.eval(1.0), 1.0),
+        "l4_concavity": (max(c for c, _ in l4pp.terms) if l4pp.terms else 0.0, None),
+        "l4_at_eps": (l4.eval(eps), eps),
+        "l4_at_1": (l4.eval(1.0), 1.0),
     }
-    overall, failing = _aggregate(checks, ROUTE_KEYS)
-    return ConditionReport(checks=checks, overall=overall, failing_key=failing)
+    return _report({key: _scalar_check(*values[key], claim)
+                    for key, claim in ROUTE_CLAIMS.items()}, ROUTE_CLAIMS)
 
 
 def direct_feasibility(params: WeightParams, tol: float = DEFAULT_TOL) -> ConditionReport:
@@ -326,20 +295,17 @@ def direct_feasibility(params: WeightParams, tol: float = DEFAULT_TOL) -> Condit
 
     Feasible iff all four profile conditions confirm, ``l1 >= 0`` certifies
     on [epsilon, 1], and ``l3 >= (a^2+a) * epsilon**(2m) * (1 - 1e-9)``
-    certifies.  gamma plays no role here; it is a device of the sufficient
-    route only.  Indeterminate certifications make the report indeterminate
-    rather than infeasible.
+    certifies.  (i) carries its declared zero at epsilon.  gamma plays no
+    role here; it is a device of the sufficient route only.  Indeterminate
+    certifications make the report indeterminate rather than infeasible.
     """
-    eps = params.epsilon
+    eps, a = params.epsilon, params.alpha
     region = Interval(eps, 1.0)
-    checks = dict(lemma31_check(params, tol=tol))
-
-    checks["l1_direct"] = certify_sign(build_l("l1", params), region, ">=", tol=tol)
-
-    a = params.alpha
     bound = (a * a + a) * math.pow(eps, params.m) ** 2
     l3_shifted = build_l("l3", params) - PowerSum.constant(bound * (1.0 - _L3_SLACK))
-    checks["l3_lower_bound"] = certify_sign(l3_shifted, region, ">=", tol=tol)
-
-    overall, failing = _aggregate(checks, DIRECT_KEYS)
-    return ConditionReport(checks=checks, overall=overall, failing_key=failing)
+    exprs = (*build_lemma31(params), build_l("l1", params), l3_shifted)
+    return _report({
+        key: certify_sign(expr, region, claim, known_zeros=(eps,) if key == "lemma31_i" else (),
+                          tol=tol)
+        for (key, claim), expr in zip(DIRECT_CLAIMS.items(), exprs)
+    }, DIRECT_CLAIMS)

@@ -4,8 +4,7 @@ Two solvers live here: one damped Newton iteration with a closed-form
 Jacobian, for the critical system (three of ``conditions``' own equations
 in (gamma, m, epsilon0), at alpha = 2) and for its gamma = 1 corner; and a
 feasibility-frontier bisection that finds the supremum opening parameter
-epsilon for which the direct certificate still passes.  A small utility
-iterates the uniqueness horizon ``T_{k+1} = (1 - T_k) T_1 + T_k`` toward 1.
+epsilon for which the direct certificate still passes.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ __all__ = [
     "solve_gamma1",
     "frontier_epsilon",
     "scan_frontier",
-    "uniqueness_horizon",
 ]
 
 DEFAULT_INIT = (0.80, 2.45, 0.65)
@@ -326,21 +324,3 @@ def scan_frontier(m_grid: Sequence[float], alpha: float, tol: float = 1e-4) -> l
             continue
         rows.append(FrontierRow(m=m, epsilon_sup=res.epsilon_sup, theta_deg=res.theta_deg))
     return rows
-
-
-def uniqueness_horizon(M: float, steps: int) -> tuple[float, list[float]]:
-    """Horizon seed ``T1 = min(1/(256M), 1/(12M^2), 1/2)`` and its iteration.
-
-    Returns ``(T1, [T1, T2, ..., T_{steps+1}])`` with
-    ``T_{k+1} = (1 - T_k) T1 + T_k``, which climbs to 1 geometrically:
-    ``1 - T_k = (1 - T1)**k``.
-    """
-    if not M > 0.0:
-        raise ValueError(f"M must be positive, got {M}")
-    if steps < 0:
-        raise ValueError(f"steps must be >= 0, got {steps}")
-    t1 = min(1.0 / (256.0 * M), 1.0 / (12.0 * M * M), 0.5)
-    seq = [t1]
-    for _ in range(steps):
-        seq.append((1.0 - seq[-1]) * t1 + seq[-1])
-    return t1, seq

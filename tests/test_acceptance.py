@@ -14,7 +14,6 @@ from carleman_cone.conditions import (
     DIRECT_KEYS,
     build_l,
     direct_feasibility,
-    lemma31_check,
 )
 from carleman_cone.identities import boundary_points, run_identity_suite, sample_cone_points
 from carleman_cone.quad import BumpFunction, GridSpec, carleman_integrals, verify_carleman
@@ -22,7 +21,6 @@ from carleman_cone.solver import (
     frontier_epsilon,
     solve_critical_system,
     solve_gamma1,
-    uniqueness_horizon,
 )
 from carleman_cone.weights import WeightParams, phi_eval
 
@@ -188,18 +186,3 @@ def test_criterion_7b_grid_refinement_drift():
     elapsed = time.perf_counter() - start
     ok = worst < 0.05 and elapsed < 120.0
     report(7, "grid-refinement ratio drift < 5%", ok, ", ".join(details))
-
-
-def test_criterion_8_horizon_utility():
-    t1, seq = uniqueness_horizon(1.0, 1000)
-    exact = t1 == 1.0 / 256.0
-    worst = max(
-        abs((1.0 - tk) - (1.0 - t1) ** k) / (1.0 - t1) ** k
-        for k, tk in enumerate(seq, start=1)
-    )
-    ok = exact and worst <= 1e-12
-    report(
-        8, "horizon utility",
-        ok,
-        f"T1 = 1/256 exactly: {exact}; worst relative gap of 1-T_k vs (1-T1)^k: {worst:.2e}",
-    )

@@ -8,8 +8,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from carleman_cone import cli, quad
+from carleman_cone.algebra import SignKind, SignVerdict
 from carleman_cone.cli import (_GRID_MAX, _M_GRID_MAX, UsageError, _parse_m_grid, execute, main,
                                parse_config)
+
+from test_conditions import force_direct_verdicts
 
 
 COMMANDS = ("solve", "gamma1", "check", "frontier", "scan", "quadrature", "identities")
@@ -269,6 +272,14 @@ class TestCheckCommand:
         assert code == 1
         assert "l1_direct" in text
 
+    def test_unresolved_key_exits_2(self, monkeypatch):
+        force_direct_verdicts(monkeypatch, l1_direct=SignVerdict(SignKind.INDETERMINATE))
+        code, doc = run_json(["check"])
+        assert code == 2
+        assert doc["result"]["overall"] == "indeterminate"
+        assert doc["result"]["failing_key"] == "l1_direct"
+        assert doc["verdicts"]["l1_direct"]["kind"] == "indeterminate"
+
 
 class TestFrontierCommand:
     def test_default_family_m(self):
@@ -284,6 +295,15 @@ class TestFrontierCommand:
         assert code == 0
         assert doc["result"]["family"] == "beta_eq_alpha"
         assert doc["result"]["epsilon_sup"] <= math.sqrt(1.0 / 3.0) + 1e-6
+
+    def test_family_alpha_rejects_the_m_flag(self, capsys):
+        # the alpha family's exponent is alpha; --m would be silently ignored
+        assert main(["frontier", "--family", "alpha", "--alpha", "1.99", "--m", "2.7"]) == 3
+        assert "m:" in capsys.readouterr().err
+        # a config file may still set any key
+        cfg = parse_config(["frontier", "--family", "alpha", "--alpha", "1.99"],
+                           file_text="m = 2.7")
+        assert (cfg.family, cfg.m) == ("alpha", 2.7)
 
 
 class TestScanCommand:

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from carleman_cone.algebra import PowerSum, SignKind
+from carleman_cone import conditions
+from carleman_cone.algebra import PowerSum, SignKind, SignVerdict
 from carleman_cone.conditions import (
     DIRECT_KEYS,
     build_l,
@@ -11,7 +12,6 @@ from carleman_cone.conditions import (
     direct_feasibility,
     gamma_condition,
     l1_boundary_law,
-    lemma31_check,
     sufficient_route_check,
 )
 from carleman_cone.weights import WeightParams
@@ -63,7 +63,7 @@ class TestBuildLemma31:
 
 class TestLemma31Check:
     def test_core_params_all_certified(self):
-        checks = lemma31_check(PARAMS)
+        checks = direct_feasibility(PARAMS).checks
         assert checks["lemma31_i"].kind is SignKind.NON_NEGATIVE_WITH_ZEROS
         assert checks["lemma31_ii"].kind is SignKind.POSITIVE
         assert checks["lemma31_iii"].kind is SignKind.POSITIVE
@@ -74,13 +74,13 @@ class TestLemma31Check:
         assert fourth.eval(PARAMS.epsilon) < 0.0
 
     def test_second_positive_everywhere(self):
-        checks = lemma31_check(PARAMS)
+        checks = direct_feasibility(PARAMS).checks
         assert checks["lemma31_ii"].margin > 0.0
 
     def test_alpha_family_certifies(self):
         # profile exponent equal to alpha (comparison family)
         p = WeightParams(m=1.999, alpha=1.999, gamma=1.0, epsilon=0.5)
-        checks = lemma31_check(p)
+        checks = direct_feasibility(p).checks
         for key in ("lemma31_i", "lemma31_ii", "lemma31_iii"):
             assert checks[key].confirms(">=")
         assert checks["lemma31_iv"].confirms("<=")
@@ -218,6 +218,35 @@ class TestDirectFeasibility:
         r1 = direct_feasibility(p)
         r2 = direct_feasibility(p)
         assert r1 == r2
+
+    def test_unresolved_key_makes_the_report_indeterminate(self, monkeypatch):
+        force_direct_verdicts(monkeypatch, lemma31_iii=SignVerdict(SignKind.INDETERMINATE))
+        report = direct_feasibility(PARAMS)
+        assert (report.overall, report.failing_key) == ("indeterminate", "lemma31_iii")
+
+    def test_a_refuted_key_outranks_an_earlier_unresolved_one(self, monkeypatch):
+        force_direct_verdicts(
+            monkeypatch, lemma31_ii=SignVerdict(SignKind.INDETERMINATE),
+            l3_lower_bound=SignVerdict(SignKind.NEGATIVE_SOMEWHERE, margin=-1.0, witness=0.7))
+        report = direct_feasibility(PARAMS)
+        assert (report.overall, report.failing_key) == ("infeasible", "l3_lower_bound")
+        assert report.checks["lemma31_ii"].kind is SignKind.INDETERMINATE
+
+
+def force_direct_verdicts(monkeypatch, **forced):
+    """Make the direct certificate's next run end with the given verdicts on the given keys.
+
+    ``direct_feasibility`` calls ``certify_sign`` once per key, in
+    ``DIRECT_KEYS`` order; the other keys keep their real verdicts.
+    """
+    original = conditions.certify_sign
+    keys = iter(DIRECT_KEYS)
+
+    def certify_sign(*args, **kwargs):
+        verdict = original(*args, **kwargs)
+        return forced.get(next(keys), verdict)
+
+    monkeypatch.setattr(conditions, "certify_sign", certify_sign)
 
 
 # Verdicts, margins, witnesses and eval_interval call counts recorded with

@@ -21,7 +21,6 @@ from carleman_cone.solver import (
     scan_frontier,
     solve_critical_system,
     solve_gamma1,
-    uniqueness_horizon,
 )
 from carleman_cone.weights import WeightParams
 
@@ -401,31 +400,3 @@ class TestScan:
 
     def test_empty_grid(self):
         assert scan_frontier([], alpha=1.999) == []
-
-
-class TestHorizon:
-    def test_M_one(self):
-        t1, seq = uniqueness_horizon(1.0, 3)
-        assert t1 == 1.0 / 256.0
-        assert seq[0] == t1
-        assert len(seq) == 4
-
-    def test_M_half(self):
-        t1, _ = uniqueness_horizon(0.5, 0)
-        assert t1 == 1.0 / 128.0
-
-    def test_closed_form(self):
-        t1, seq = uniqueness_horizon(1.0, 1000)
-        for k, tk in enumerate(seq, start=1):
-            assert 1.0 - tk == pytest.approx((1.0 - t1) ** k, rel=1e-12)
-
-    def test_strictly_increasing_below_one(self):
-        _, seq = uniqueness_horizon(2.0, 500)
-        assert all(b > a for a, b in zip(seq, seq[1:]))
-        assert all(v < 1.0 for v in seq)
-
-    def test_domain_error(self):
-        with pytest.raises(ValueError):
-            uniqueness_horizon(0.0, 5)
-        with pytest.raises(ValueError):
-            uniqueness_horizon(1.0, -1)
