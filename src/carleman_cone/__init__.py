@@ -20,8 +20,8 @@ __version__ = "0.1.0"
 # module when the name is first read.
 _EXPORTS = {name: module for module, names in {
     "algebra": ("Interval", "PowerSum", "SignKind", "SignVerdict", "certify_sign"),
-    "conditions": ("ConditionReport", "WeightParams", "build_f", "build_l", "build_lemma31",
-                   "direct_feasibility", "gamma_condition", "sufficient_route_check"),
+    "conditions": ("ConditionReport", "WeightParams", "build_f", "build_l", "direct_feasibility",
+                   "gamma_condition", "sufficient_route_check"),
     "quad": ("BumpFunction", "CarlemanReport", "GridSpec", "SupportViolationError",
              "carleman_integrals", "verify_carleman"),
     "solver": ("AllInfeasibleError", "FrontierResult", "NonConvergenceError",

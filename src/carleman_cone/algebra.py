@@ -42,11 +42,9 @@ __all__ = [
     "SignVerdict",
     "certify_sign",
     "DEFAULT_TOL",
-    "DEFAULT_MAX_DEPTH",
 ]
 
 DEFAULT_TOL = 1e-12
-DEFAULT_MAX_DEPTH = 60
 
 # Outward inflation of an enclosure, in units of one pad each; 4 units for
 # pow, which goes through exp/log and is faithfully rounded only to a few ulp.
@@ -61,8 +59,9 @@ _POW_UNITS = 4
 _EXP_MERGE_TOL = 1e-9
 _EXPONENT = itemgetter(1)
 
-# Safety cap on certifier work, far above anything the shipped expressions
-# need (they resolve in hundreds of leaves).
+# Safety caps on certifier work, far above what the shipped expressions need
+# (hundreds of leaves): node depth (the root's is 0) and node count.
+_MAX_DEPTH = 60
 _MAX_NODES = 200_000
 
 
@@ -124,10 +123,6 @@ class PowerSum:
         object.__setattr__(self, "terms", _normalize_terms(self.terms))
 
     # -- constructors ------------------------------------------------------
-
-    @staticmethod
-    def zero() -> "PowerSum":
-        return PowerSum(())
 
     @staticmethod
     def constant(c: float) -> "PowerSum":
@@ -333,7 +328,6 @@ def certify_sign(
     claim: str,
     known_zeros: Sequence[float] = (),
     tol: float = DEFAULT_TOL,
-    max_depth: int = DEFAULT_MAX_DEPTH,
 ) -> SignVerdict:
     """Prove a sign claim for ``p`` over the whole ``region`` by adaptive bisection.
 
@@ -341,21 +335,18 @@ def certify_sign(
     above ``tol``; a point evaluation that strictly violates the claim
     refutes it with a witness; a node closes when it contains a declared
     known zero and the enclosure dips at most ``tol`` past the allowed side,
-    or when its centred bound confirms the claim.  Leaves still open at
-    ``max_depth`` make the verdict INDETERMINATE, a result, not an error.
-
-    Increasing ``max_depth`` can only turn INDETERMINATE into a definite
-    verdict; it never flips a certified outcome into a refuted one.
+    or when its centred bound confirms the claim.  Leaves still open at the
+    fixed caps ``_MAX_DEPTH`` and ``_MAX_NODES`` make the verdict INDETERMINATE,
+    a result, not an error; a deeper cap can only turn that into a definite
+    verdict, never a certified outcome into a refuted one.
     """
     if region.lo <= 0.0:
         raise ValueError("certification region must be strictly positive")
     if not tol > 0.0:
         raise ValueError("tol must be positive")
-    if max_depth < 1:
-        raise ValueError("max_depth must be >= 1")
     if claim in _MIRROR_CLAIM:
         return certify_sign(
-            -p, region, _MIRROR_CLAIM[claim], known_zeros, tol, max_depth
+            -p, region, _MIRROR_CLAIM[claim], known_zeros, tol
         ).mirrored()
     if claim not in (">=", ">"):
         raise ValueError(f"unknown claim {claim!r}")
@@ -405,7 +396,7 @@ def certify_sign(
             by_margin += 1
             continue
 
-        if depth >= max_depth or nodes > _MAX_NODES or not (lo < mid < hi):
+        if depth >= _MAX_DEPTH or nodes > _MAX_NODES or not (lo < mid < hi):
             exhausted += 1
             if bound < worst_lo:
                 worst_lo = bound

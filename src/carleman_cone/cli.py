@@ -3,12 +3,12 @@
 Subcommands: solve | gamma1 | check | frontier | scan | quadrature |
 identities.  Each subcommand accepts only the flags it reads (``_COMMANDS``),
 plus ``--json`` and ``--config``, and ``frontier --family alpha`` reads no
-``--m``; a ``--config`` key=value file may set any key.  Flag values take
-precedence over the file, which takes precedence over defaults.  Every value
-is checked by its key's rule (``_KEYS``) whichever subcommand runs, and
-``_validate`` checks the rules that tie keys together, among them the bound
-on ``K_cap``.  Exit codes: 0 success/pass, 1 certified failure or quadrature
-fail, 2 indeterminate or non-convergence, 3 usage error.
+``--m`` and records none; a ``--config`` key=value file may set any key.
+Flag values take precedence over the file, which takes precedence over
+defaults.  Every value is checked by its key's rule (``_KEYS``) whichever
+subcommand runs, and ``_validate`` checks the rules that tie keys together,
+among them the bound on ``K_cap``.  Exit codes: 0 success/pass, 1 certified
+failure or quadrature fail, 2 indeterminate or non-convergence, 3 usage error.
 """
 
 from __future__ import annotations
@@ -204,8 +204,8 @@ def parse_config(argv: Sequence[str], file_text: Optional[str] = None) -> RunCon
         spec = _KEYS[key]
         if value is not None and spec.rule is not None and not spec.rule(value):
             raise UsageError(f"{key}: {spec.domain}, got {value!r}")
-    if ns.command == "frontier" and ns.m is not None and values["family"] == "alpha":
-        # the alpha family's exponent is alpha itself; a config file may still set m
+    if getattr(ns, "m", None) is not None and "m" not in _read_keys(ns.command, values["family"]):
+        # frontier's alpha family; a config file may still set m
         raise UsageError(f"m: frontier --family alpha takes no --m, got {ns.m!r}")
 
     cfg = RunConfig(command=ns.command, **values)
@@ -259,7 +259,7 @@ def _verdict_json(v) -> dict[str, Any]:
 def _envelope(cfg: RunConfig, result: Any, verdicts: dict[str, Any]) -> dict[str, Any]:
     return {
         "command": cfg.command,
-        "params": {key: getattr(cfg, key) for key in _COMMANDS[cfg.command].flags},
+        "params": {key: getattr(cfg, key) for key in _read_keys(cfg.command, cfg.family)},
         "result": result,
         "verdicts": verdicts,
         "version": __version__,
@@ -425,8 +425,8 @@ class _Command(NamedTuple):
 
 
 # Every subcommand.  Any flag it does not list is a usage error; config-file
-# keys are accepted by every subcommand.  The flags, with the values the run
-# used, are the --json envelope's params.
+# keys are accepted by every subcommand.  The keys the run reads
+# (``_read_keys``), with the values it used, are the --json envelope's params.
 _COMMANDS = {
     "solve": _Command(_run_solve, 1e-12, ("init", "tol", "max_iter")),
     "gamma1": _Command(_run_gamma1, 1e-10, ("tol",)),
@@ -437,6 +437,12 @@ _COMMANDS = {
                            ("m", "alpha", "eps", "dim", "a", "K", "K_cap", "grid")),
     "identities": _Command(_run_identities, None, ("m", "alpha", "gamma", "eps", "dim", "seed")),
 }
+
+
+def _read_keys(command: str, family: str) -> tuple[str, ...]:
+    """The keys a run reads: its flags, but no m in frontier's alpha family (exponent alpha)."""
+    unread = "m" if (command, family) == ("frontier", "alpha") else None
+    return tuple(key for key in _COMMANDS[command].flags if key != unread)
 
 
 def execute(cfg: RunConfig, stream=None) -> int:

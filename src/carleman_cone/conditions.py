@@ -1,13 +1,27 @@
 """Builders and certifiers for the weight-admissibility inequalities.
 
 Everything here is a scalar condition in the angular variable ``h = x1/r``
-on the interval ``[epsilon, 1]``.  Four profile conditions (keys
-``lemma31_i..iv``) make the weight's Hessian correction nonnegative; the
-expression ``l1`` controls the cubic gradient form, ``l3``/``l4`` the mixed
-second-order form, and ``l2`` is the concavity workhorse of the
-gamma-decomposition route.  Two certifiers are provided, each with one
-ordered table of its keys and the claim certified for each
-(``DIRECT_CLAIMS``, ``ROUTE_CLAIMS``):
+on ``[epsilon, 1]``.  One builder, :func:`build_l`, makes each expression
+by key, from ``f = h**m - epsilon**m``, ``f'`` and ``f''``, with ``a = alpha``
+and ``g = gamma``::
+
+    lemma31_i    f
+    lemma31_ii   f''
+    lemma31_iii  (a^2-2a) f + (3-2a) h f' + h^2 f''
+    lemma31_iv   (a-1)^2 f'^2 + (2a-a^2) f f'' - h f' f''
+    l1           a^4 f^3 - a^2 h f^2 f' + 2a^2 (1-h^2) f f'^2 - 2h (1-h^2) f'^3
+                 + (1-h^2)^2 f'^2 f''
+    l2           (a^2 - g^2 (m-1)/4) f - h f' + (1-h^2) f''/2
+    l3           (a^2+a) f^2 - h f f' + (1-h^2) f'^2
+    l4           (a^2+a-m^2-m) h^m + m^2 h^(m-2) - (2a^2+2a-m) epsilon^m
+
+The profile conditions ``lemma31_i..iv`` make the weight's Hessian
+correction nonnegative; ``l1`` controls the cubic gradient form, ``l3``/``l4``
+the mixed second-order form, and ``l2`` is the concavity workhorse of the
+gamma-decomposition route.  ``l4`` is a closed form, not built from f, so
+that ``l3 = (a^2+a) epsilon^(2m) + h^m l4`` is a real cross-check.  Two
+certifiers are provided, each with one ordered table of its keys and the
+claim certified for each (``DIRECT_CLAIMS``, ``ROUTE_CLAIMS``):
 
 * :func:`sufficient_route_check` follows the decomposition route (gamma
   condition, concavity and endpoint signs), which is sufficient but not
@@ -49,7 +63,6 @@ __all__ = [
     "ROUTE_CLAIMS",
     "DIRECT_KEYS",
     "ROUTE_KEYS",
-    "build_lemma31",
     "gamma_condition",
     "build_l",
     "sufficient_route_check",
@@ -79,6 +92,9 @@ ROUTE_CLAIMS = {
 }
 
 DIRECT_KEYS, ROUTE_KEYS = tuple(DIRECT_CLAIMS), tuple(ROUTE_CLAIMS)
+
+# Each direct key's expression where the names differ (l3 less the slackened bound).
+_DIRECT_EXPRESSIONS = {"l1_direct": "l1", "l3_lower_bound": "l3"}
 
 # Relative slack on the l3 lower bound so the certified claim does not sit
 # exactly on the bound.
@@ -142,9 +158,6 @@ class ConditionReport:
     overall: str
     failing_key: Optional[str] = None
 
-    def confirmed(self, key: str) -> bool:
-        return self.checks[key].confirms({**DIRECT_CLAIMS, **ROUTE_CLAIMS}[key])
-
 
 def _report(checks: dict[str, SignVerdict], claims: dict[str, str]) -> ConditionReport:
     """The report on ``checks``: the first refuted key in table order, else the first unresolved."""
@@ -182,7 +195,8 @@ def _scalar_check(value: float, where: Optional[float], claim: str) -> SignVerdi
 # Expression builders
 # ---------------------------------------------------------------------------
 
-def _f_fp_fpp(params: WeightParams) -> tuple[PowerSum, PowerSum, PowerSum]:
+def _profile(params: WeightParams) -> tuple[PowerSum, PowerSum, PowerSum]:
+    """f, f' and f'' at ``params``."""
     f = build_f(params.m, params.epsilon)
     fp = f.derivative()
     return f, fp, fp.derivative()
@@ -193,22 +207,6 @@ _H2 = PowerSum.monomial(1.0, 2.0)           # h^2
 _ONE_MINUS_H2 = PowerSum.constant(1.0) - _H2
 
 
-def build_lemma31(params: WeightParams) -> tuple[PowerSum, PowerSum, PowerSum, PowerSum]:
-    """The four profile conditions, assembled from f by sum/product rules.
-
-    (i)   f
-    (ii)  f''
-    (iii) (a^2-2a) f + (3-2a) h f' + h^2 f''
-    (iv)  (a-1)^2 f'^2 + (2a-a^2) f f'' - h f' f''
-    with a = alpha.
-    """
-    a = params.alpha
-    f, fp, fpp = _f_fp_fpp(params)
-    third = (a * a - 2.0 * a) * f + (3.0 - 2.0 * a) * (_H * fp) + _H2 * fpp
-    fourth = (a - 1.0) ** 2 * (fp * fp) + (2.0 * a - a * a) * (f * fpp) - _H * fp * fpp
-    return f, fpp, third, fourth
-
-
 def gamma_condition(params: WeightParams) -> float:
     """Margin of ``(2g-1)a^2 >= g^2 (a^2 - g^2 (m-1)/4)``; >= 0 means it holds."""
     a2 = params.alpha * params.alpha
@@ -216,19 +214,29 @@ def gamma_condition(params: WeightParams) -> float:
     return (2.0 * params.gamma - 1.0) * a2 - g2 * (a2 - g2 * (params.m - 1.0) / 4.0)
 
 
-def build_l(which: str, params: WeightParams) -> PowerSum:
-    """One of the scalar condition expressions l1..l4.
+def build_l(key: str, params: WeightParams) -> PowerSum:
+    """The expression ``key`` of the module's table at ``params``; ValueError on any other key."""
+    return _build(key, params, None if key == "l4" else _profile(params))
 
-    l1, l2 and l3 are assembled from f by product/derivative rules; l4 is
-    defined by its closed form, which keeps the l3 = const + h^m * l4
-    identity a real cross-check rather than a tautology.
-    """
-    a = params.alpha
-    m, eps = params.m, params.epsilon
-    f, fp, fpp = _f_fp_fpp(params)
-    if which == "l1":
-        f2 = f * f
-        fp2 = fp * fp
+
+def _build(key: str, params: WeightParams, profile: Optional[tuple]) -> PowerSum:
+    """``build_l(key, params)`` from ``profile = _profile(params)``, which l4 does not read."""
+    a, m = params.alpha, params.m
+    if key == "l4":
+        em = math.pow(params.epsilon, m)
+        return PowerSum(((a * a + a - m * m - m, m), (m * m, m - 2.0),
+                         (-(2.0 * a * a + 2.0 * a - m) * em, 0.0)))
+    f, fp, fpp = profile
+    if key == "lemma31_i":
+        return f
+    if key == "lemma31_ii":
+        return fpp
+    if key == "lemma31_iii":
+        return (a * a - 2.0 * a) * f + (3.0 - 2.0 * a) * (_H * fp) + _H2 * fpp
+    if key == "lemma31_iv":
+        return (a - 1.0) ** 2 * (fp * fp) + (2.0 * a - a * a) * (f * fpp) - _H * fp * fpp
+    if key == "l1":
+        f2, fp2 = f * f, fp * fp
         return (
             a ** 4 * (f2 * f)
             - a * a * (_H * f2 * fp)
@@ -236,19 +244,12 @@ def build_l(which: str, params: WeightParams) -> PowerSum:
             - 2.0 * (_H * _ONE_MINUS_H2 * (fp2 * fp))
             + _ONE_MINUS_H2 * _ONE_MINUS_H2 * fp2 * fpp
         )
-    if which == "l2":
+    if key == "l2":
         coef = a * a - params.gamma ** 2 * (m - 1.0) / 4.0
         return coef * f - _H * fp + 0.5 * (_ONE_MINUS_H2 * fpp)
-    if which == "l3":
+    if key == "l3":
         return (a * a + a) * (f * f) - _H * f * fp + _ONE_MINUS_H2 * (fp * fp)
-    if which == "l4":
-        em = math.pow(eps, m)
-        return PowerSum((
-            (a * a + a - m * m - m, m),
-            (m * m, m - 2.0),
-            (-(2.0 * a * a + 2.0 * a - m) * em, 0.0),
-        ))
-    raise ValueError(f"unknown expression {which!r}")
+    raise ValueError(f"unknown expression {key!r}")
 
 
 def l1_boundary_law(params: WeightParams) -> float:
@@ -301,11 +302,13 @@ def direct_feasibility(params: WeightParams, tol: float = DEFAULT_TOL) -> Condit
     """
     eps, a = params.epsilon, params.alpha
     region = Interval(eps, 1.0)
+    profile = _profile(params)
+    exprs = {key: _build(_DIRECT_EXPRESSIONS.get(key, key), params, profile)
+             for key in DIRECT_CLAIMS}
     bound = (a * a + a) * math.pow(eps, params.m) ** 2
-    l3_shifted = build_l("l3", params) - PowerSum.constant(bound * (1.0 - _L3_SLACK))
-    exprs = (*build_lemma31(params), build_l("l1", params), l3_shifted)
+    exprs["l3_lower_bound"] -= PowerSum.constant(bound * (1.0 - _L3_SLACK))
     return _report({
-        key: certify_sign(expr, region, claim, known_zeros=(eps,) if key == "lemma31_i" else (),
-                          tol=tol)
-        for (key, claim), expr in zip(DIRECT_CLAIMS.items(), exprs)
+        key: certify_sign(exprs[key], region, claim,
+                          known_zeros=(eps,) if key == "lemma31_i" else (), tol=tol)
+        for key, claim in DIRECT_CLAIMS.items()
     }, DIRECT_CLAIMS)

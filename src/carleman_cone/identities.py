@@ -21,7 +21,7 @@ import numpy as np
 
 from . import conditions
 from .algebra import PowerSum
-from .conditions import WeightParams, build_f
+from .conditions import WeightParams
 from .weights import _profile_derivs, _radius, grad_phi, hess_phi, phi_eval
 
 __all__ = ["IdentityResult", "run_identity_suite", "sample_cone_points"]
@@ -100,9 +100,8 @@ def _coefficient_identity_l3(params: WeightParams) -> IdentityResult:
 
 
 def _coefficient_identity_hfpp(params: WeightParams) -> IdentityResult:
-    f = build_f(params.m, params.epsilon)
-    fp = f.derivative()
-    diff = PowerSum.monomial(1.0, 1.0) * fp.derivative() - (params.m - 1.0) * fp
+    _, fp, fpp = conditions._profile(params)
+    diff = PowerSum.monomial(1.0, 1.0) * fpp - (params.m - 1.0) * fp
     worst = diff.max_abs_coefficient()
     return IdentityResult(
         "h_fpp_equals_m_minus_1_fp",

@@ -11,7 +11,7 @@ import time
 import pytest
 
 from carleman_cone.conditions import (
-    DIRECT_KEYS,
+    DIRECT_CLAIMS,
     build_l,
     direct_feasibility,
 )
@@ -110,7 +110,7 @@ def test_criterion_5_certified_condition_suite():
     infeasible = [direct_feasibility(p_hi) for _ in range(2)]
 
     all_certified = feasible[0].overall == "feasible" and all(
-        feasible[0].confirmed(k) for k in DIRECT_KEYS
+        feasible[0].checks[k].confirms(claim) for k, claim in DIRECT_CLAIMS.items()
     )
     witness = infeasible[0].checks["l1_direct"].witness
     witness_negative = (

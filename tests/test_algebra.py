@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from carleman_cone import algebra
 from carleman_cone.algebra import (
     _ABS,
     _POW_UNITS,
@@ -154,7 +155,7 @@ class TestMul:
 
     def test_zero_annihilates(self):
         p = PowerSum(((2.0, 1.5), (1.0, 0.0)))
-        assert not (p * PowerSum.zero()).terms
+        assert not (p * PowerSum()).terms
 
     def test_point_evaluation_oracle(self):
         # ps_eval(p*q, h) == ps_eval(p, h) * ps_eval(q, h)
@@ -334,7 +335,7 @@ class TestCertifySign:
         assert v.kind is SignKind.POSITIVE_SOMEWHERE
         assert v.witness is not None and p.eval(v.witness) > 0.0
 
-    def test_indeterminate_is_a_result(self):
+    def test_indeterminate_is_a_result(self, monkeypatch):
         # sign change inside the region but nowhere strictly negative on the
         # sampled points of a coarse run: h - 0.5 straddles zero
         p = PowerSum(((1.0, 1.0), (-0.5, 0.0)))
@@ -342,7 +343,8 @@ class TestCertifySign:
         # 0.2 evaluates negative, so this actually refutes; use a touching
         # parabola for a genuine indeterminate: (h - 0.5)^2 claimed > 0
         q = PowerSum(((1.0, 2.0), (-1.0, 1.0), (0.25, 0.0)))
-        w = certify_sign(q, Interval(0.25, 0.75), ">", max_depth=12)
+        monkeypatch.setattr(algebra, "_MAX_DEPTH", 12)
+        w = certify_sign(q, Interval(0.25, 0.75), ">")
         assert v.kind is SignKind.NEGATIVE_SOMEWHERE
         assert w.kind is SignKind.INDETERMINATE
         assert w.residual is not None and w.residual.lo <= 0.0 <= w.residual.hi
@@ -388,7 +390,8 @@ class TestCertifySign:
         seen = []
         for p, (lo, hi), claim, zeros, depth, work in cases:
             calls.clear()
-            v = certify_sign(p, Interval(lo, hi), claim, known_zeros=zeros, max_depth=depth)
+            monkeypatch.setattr(algebra, "_MAX_DEPTH", depth)
+            v = certify_sign(p, Interval(lo, hi), claim, known_zeros=zeros)
             leaves = v.leaves_margin + v.leaves_zero + v.leaves_exhausted
             centred = [r for q, r in calls if q == p and r.lo == r.hi]
             assert v.nodes == 2 * leaves - 1
@@ -418,8 +421,8 @@ class TestCertifySign:
         assert [getattr(w, k) for k in counts] == [getattr(v, k) for k in counts]
         assert v.mirrored().mirrored() == v
 
-    def test_depth_monotonicity(self):
-        # increasing max_depth only resolves INDETERMINATE; certified and
+    def test_depth_monotonicity(self, monkeypatch):
+        # increasing the depth cap only resolves INDETERMINATE; certified and
         # refuted outcomes are stable
         cases = [
             (build_f(2.46, 0.6).derivative().derivative(), ">",),
@@ -429,7 +432,8 @@ class TestCertifySign:
         for p, claim in cases:
             seen = []
             for depth in (2, 5, 10, 20, 40, 60):
-                seen.append(certify_sign(p, Interval(0.2, 1.0), claim, max_depth=depth).kind)
+                monkeypatch.setattr(algebra, "_MAX_DEPTH", depth)
+                seen.append(certify_sign(p, Interval(0.2, 1.0), claim).kind)
             settled = [k for k in seen if k is not SignKind.INDETERMINATE]
             assert len(set(settled)) <= 1
             if settled:

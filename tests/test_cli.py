@@ -305,6 +305,18 @@ class TestFrontierCommand:
                            file_text="m = 2.7")
         assert (cfg.family, cfg.m) == ("alpha", 2.7)
 
+    def test_family_alpha_envelope_has_no_m(self):
+        # the run reads no m, so its params name none, even where a config file sets one
+        code, doc = run_json(["frontier", "--family", "alpha", "--alpha", "1.999", "--tol", "1e-3"])
+        assert code == 0
+        assert doc["params"] == {"alpha": 1.999, "family": "alpha", "tol": 1e-3}
+        assert doc["result"]["m"] is None
+        cfg = parse_config(["frontier", "--family", "alpha", "--alpha", "1.999", "--json"],
+                           file_text="m = 2.7")
+        out = io.StringIO()
+        assert execute(cfg, stream=out) == 0
+        assert "m" not in json.loads(out.getvalue())["params"]
+
 
 class TestScanCommand:
     def test_csv_output(self, tmp_path):

@@ -6,9 +6,9 @@ import pytest
 from carleman_cone import conditions
 from carleman_cone.algebra import PowerSum, SignKind, SignVerdict
 from carleman_cone.conditions import (
+    DIRECT_CLAIMS,
     DIRECT_KEYS,
     build_l,
-    build_lemma31,
     direct_feasibility,
     gamma_condition,
     l1_boundary_law,
@@ -17,6 +17,7 @@ from carleman_cone.conditions import (
 from carleman_cone.weights import WeightParams
 
 PARAMS = WeightParams(m=2.46, alpha=1.999, gamma=0.8092, epsilon=0.60)
+LEMMA31_KEYS = ("lemma31_i", "lemma31_ii", "lemma31_iii", "lemma31_iv")
 
 
 def direct_eval_lemma31(params, h):
@@ -36,7 +37,7 @@ def direct_eval_lemma31(params, h):
 class TestBuildLemma31:
     def test_third_expands_to_closed_form(self):
         m, a, eps = PARAMS.m, PARAMS.alpha, PARAMS.epsilon
-        third = build_lemma31(PARAMS)[2]
+        third = build_l("lemma31_iii", PARAMS)
         assert third.coefficient(m) == pytest.approx((m - a) ** 2 + 2 * (m - a), rel=1e-12)
         assert third.coefficient(0.0) == pytest.approx(
             (2 * a - a * a) * eps ** m, rel=1e-12
@@ -44,7 +45,7 @@ class TestBuildLemma31:
 
     def test_fourth_expands_to_closed_form(self):
         m, a, eps = PARAMS.m, PARAMS.alpha, PARAMS.epsilon
-        fourth = build_lemma31(PARAMS)[3]
+        fourth = build_l("lemma31_iv", PARAMS)
         assert fourth.coefficient(2 * m - 2) == pytest.approx(
             m * ((2 * m - m * m) - (2 * a - a * a)), rel=1e-12
         )
@@ -54,7 +55,7 @@ class TestBuildLemma31:
 
     def test_point_evaluation_oracle(self):
         rng = np.random.default_rng(53)
-        exprs = build_lemma31(PARAMS)
+        exprs = [build_l(key, PARAMS) for key in LEMMA31_KEYS]
         for h in rng.uniform(PARAMS.epsilon, 1.0, size=100):
             expected = direct_eval_lemma31(PARAMS, float(h))
             for built, want in zip(exprs, expected):
@@ -70,7 +71,7 @@ class TestLemma31Check:
         assert checks["lemma31_iv"].confirms("<=")
 
     def test_fourth_negative_at_eps(self):
-        fourth = build_lemma31(PARAMS)[3]
+        fourth = build_l("lemma31_iv", PARAMS)
         assert fourth.eval(PARAMS.epsilon) < 0.0
 
     def test_second_positive_everywhere(self):
@@ -165,8 +166,8 @@ class TestDirectFeasibility:
         report = direct_feasibility(PARAMS)
         assert report.overall == "feasible"
         assert report.failing_key is None
-        for key in DIRECT_KEYS:
-            assert report.confirmed(key)
+        for key, claim in DIRECT_CLAIMS.items():
+            assert report.checks[key].confirms(claim)
 
     def test_infeasible_beyond_threshold(self):
         p = WeightParams(m=2.46, alpha=1.999, gamma=0.8092, epsilon=0.67)
@@ -219,6 +220,18 @@ class TestDirectFeasibility:
         r2 = direct_feasibility(p)
         assert r1 == r2
 
+    def test_certifies_build_l_expressions_key_by_key(self, monkeypatch):
+        # l1_direct is l1, and l3_lower_bound is l3 less (a^2+a) eps^(2m) (1 - 1e-9)
+        certified = force_direct_verdicts(monkeypatch)
+        direct_feasibility(PARAMS)
+        a, m, eps = PARAMS.alpha, PARAMS.m, PARAMS.epsilon
+        bound = (a * a + a) * math.pow(eps, m) ** 2 * (1.0 - 1e-9)
+        expected = {key: build_l(key, PARAMS) for key in LEMMA31_KEYS}
+        expected["l1_direct"] = build_l("l1", PARAMS)
+        expected["l3_lower_bound"] = build_l("l3", PARAMS) - PowerSum.constant(bound)
+        assert list(certified) == list(DIRECT_KEYS)
+        assert certified == expected
+
     def test_unresolved_key_makes_the_report_indeterminate(self, monkeypatch):
         force_direct_verdicts(monkeypatch, lemma31_iii=SignVerdict(SignKind.INDETERMINATE))
         report = direct_feasibility(PARAMS)
@@ -237,16 +250,21 @@ def force_direct_verdicts(monkeypatch, **forced):
     """Make the direct certificate's next run end with the given verdicts on the given keys.
 
     ``direct_feasibility`` calls ``certify_sign`` once per key, in
-    ``DIRECT_KEYS`` order; the other keys keep their real verdicts.
+    ``DIRECT_KEYS`` order; the other keys keep their real verdicts.  Returns
+    the expression the run certifies for each key, filled in as it goes.
     """
     original = conditions.certify_sign
     keys = iter(DIRECT_KEYS)
+    certified = {}
 
-    def certify_sign(*args, **kwargs):
-        verdict = original(*args, **kwargs)
-        return forced.get(next(keys), verdict)
+    def certify_sign(p, *args, **kwargs):
+        verdict = original(p, *args, **kwargs)
+        key = next(keys)
+        certified[key] = p
+        return forced.get(key, verdict)
 
     monkeypatch.setattr(conditions, "certify_sign", certify_sign)
+    return certified
 
 
 # Verdicts, margins, witnesses and eval_interval call counts recorded with
