@@ -9,8 +9,11 @@ it.
 
 Outward rounding is emulated rather than switched on in hardware.  One pad
 widens an endpoint ``x`` by ``2**-50 * |x| + 1e-300``, 8u with ``u = 2**-53``.
-The enclosure runs one loop in plain floats: each term's endpoint powers get
-four pads (32u), the scaled term one more, and every partial sum one.  The
+The enclosure ``eval_interval(lo, hi)`` takes a node's ends as two floats
+and returns a ``(lo, hi)`` tuple, from one loop in plain floats: each
+term's endpoint powers get four pads (32u), the scaled term one more, and
+every partial sum one.  The certifier carries its nodes as floats too and
+builds an ``Interval`` only for an open leaf's ``residual``.  The
 margins this package needs to distinguish are around ``1e-2``, so the
 emulation is conservative by many orders of magnitude while staying portable.
 
@@ -30,7 +33,7 @@ is exact for ``p >= 1/2``; below, it moves ``h**(p - 1)`` by
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from operator import itemgetter
 from typing import Iterable, Optional, Sequence
@@ -160,16 +163,16 @@ class PowerSum:
             total += c * math.pow(h, p)
         return total
 
-    def eval_interval(self, region: Interval) -> Interval:
-        """Enclosure of the range over ``region``; needs ``region.lo > 0``.
+    def eval_interval(self, lo: float, hi: float) -> tuple[float, float]:
+        """Enclosure ``(lo, hi)`` of the range over ``[lo, hi]``; needs ``0 < lo <= hi``.
 
         Each monomial is monotone on positive intervals, so its bounds come
         from the endpoint powers (one on a point region), padded by
         ``_POW_UNITS`` units; the scaled term and each partial sum by one.
+        A non-finite enclosure is a ValueError.
         """
-        lo, hi = region.lo, region.hi
-        if lo <= 0.0:
-            raise ValueError("interval evaluation needs a strictly positive region")
+        if not 0.0 < lo <= hi:
+            raise ValueError(f"interval evaluation needs 0 < lo <= hi, got [{lo}, {hi}]")
         acc_lo = acc_hi = 0.0
         for c, p in self.terms:
             if p == 0.0:
@@ -191,7 +194,9 @@ class PowerSum:
             acc_hi += vhi
             acc_lo -= _REL * abs(acc_lo) + _ABS
             acc_hi += _REL * abs(acc_hi) + _ABS
-        return Interval(acc_lo, acc_hi)
+        if not -math.inf < acc_lo <= acc_hi < math.inf:
+            raise ValueError(f"enclosure is not finite: [{acc_lo}, {acc_hi}]")
+        return acc_lo, acc_hi
 
     # -- algebra -----------------------------------------------------------
 
@@ -293,32 +298,33 @@ class SignVerdict:
 
     def mirrored(self) -> "SignVerdict":
         """Verdict about ``-p`` re-expressed as a verdict about ``p``."""
-        flip = {
-            SignKind.POSITIVE: SignKind.NON_POSITIVE_WITH_ZEROS,
-            SignKind.NON_NEGATIVE_WITH_ZEROS: SignKind.NON_POSITIVE_WITH_ZEROS,
-            SignKind.NEGATIVE_SOMEWHERE: SignKind.POSITIVE_SOMEWHERE,
-            SignKind.NON_POSITIVE_WITH_ZEROS: SignKind.NON_NEGATIVE_WITH_ZEROS,
-            SignKind.POSITIVE_SOMEWHERE: SignKind.NEGATIVE_SOMEWHERE,
-            SignKind.INDETERMINATE: SignKind.INDETERMINATE,
-        }
-        margin = -self.margin if self.kind in (
-            SignKind.NEGATIVE_SOMEWHERE,
-            SignKind.POSITIVE_SOMEWHERE,
-        ) else self.margin
-        residual = -self.residual if self.residual is not None else None
-        return replace(self, kind=flip[self.kind], margin=margin, residual=residual)
+        kind, margin = _MIRROR_KIND[self.kind], self.margin
+        return SignVerdict(
+            kind, -margin if kind in _SOMEWHERE else margin, self.witness, self.zeros,
+            None if self.residual is None else -self.residual, self.nodes,
+            self.max_depth, self.leaves_margin, self.leaves_zero, self.leaves_exhausted,
+        )
 
 
+_MIRROR_KIND = {
+    SignKind.POSITIVE: SignKind.NON_POSITIVE_WITH_ZEROS,
+    SignKind.NON_NEGATIVE_WITH_ZEROS: SignKind.NON_POSITIVE_WITH_ZEROS,
+    SignKind.NEGATIVE_SOMEWHERE: SignKind.POSITIVE_SOMEWHERE,
+    SignKind.NON_POSITIVE_WITH_ZEROS: SignKind.NON_NEGATIVE_WITH_ZEROS,
+    SignKind.POSITIVE_SOMEWHERE: SignKind.NEGATIVE_SOMEWHERE,
+    SignKind.INDETERMINATE: SignKind.INDETERMINATE,
+}
+_SOMEWHERE = (SignKind.NEGATIVE_SOMEWHERE, SignKind.POSITIVE_SOMEWHERE)
 _MIRROR_CLAIM = {"<=": ">="}
 
 
 def _centred_lower(p: PowerSum, dp: PowerSum, lo: float, hi: float) -> float:
     """Centred lower bound of ``p`` over ``[lo, hi]``; ``dp = p.derivative()``."""
     mid = 0.5 * (lo + hi)
-    slope = dp.eval_interval(Interval(lo, hi))
-    down = min(slope.lo * (hi - mid), slope.hi * (lo - mid))
+    slope_lo, slope_hi = dp.eval_interval(lo, hi)
+    down = min(slope_lo * (hi - mid), slope_hi * (lo - mid))
     down -= _REL * abs(down) + _ABS
-    total = p.eval_interval(Interval(mid, mid)).lo + down
+    total = p.eval_interval(mid, mid)[0] + down
     return total - (_REL * abs(total) + _ABS)
 
 
@@ -375,8 +381,7 @@ def certify_sign(
         nodes += 1
         if depth > deepest:
             deepest = depth
-        enc = p.eval_interval(Interval(lo, hi))
-        bound = enc.lo
+        bound, enc_hi = p.eval_interval(lo, hi)
         mid = 0.5 * (lo + hi)
 
         if bound <= tol:
@@ -400,7 +405,7 @@ def certify_sign(
             exhausted += 1
             if bound < worst_lo:
                 worst_lo = bound
-                worst_residual = Interval(bound, enc.hi)
+                worst_residual = Interval(bound, enc_hi)
             continue
 
         stack.append((lo, mid, depth + 1))

@@ -2,8 +2,8 @@
 
 Everything here is a scalar condition in the angular variable ``h = x1/r``
 on ``[epsilon, 1]``.  One builder, :func:`build_l`, makes each expression
-by key, from ``f = h**m - epsilon**m``, ``f'`` and ``f''``, with ``a = alpha``
-and ``g = gamma``::
+by key.  The table defines each key from ``f = h**m - epsilon**m``, ``f'``
+and ``f''``, with ``a = alpha`` and ``g = gamma``::
 
     lemma31_i    f
     lemma31_ii   f''
@@ -18,10 +18,13 @@ and ``g = gamma``::
 The profile conditions ``lemma31_i..iv`` make the weight's Hessian
 correction nonnegative; ``l1`` controls the cubic gradient form, ``l3``/``l4``
 the mixed second-order form, and ``l2`` is the concavity workhorse of the
-gamma-decomposition route.  ``l4`` is a closed form, not built from f, so
-that ``l3 = (a^2+a) epsilon^(2m) + h^m l4`` is a real cross-check.  Two
-certifiers are provided, each with one ordered table of its keys and the
-claim certified for each (``DIRECT_CLAIMS``, ``ROUTE_CLAIMS``):
+gamma-decomposition route.  ``build_l`` writes each key's expansion in
+powers of h, with coefficients in (m, a, g) and powers of ``E =
+epsilon**m``, and forms no product; ``tests/test_symbolic.py`` proves each
+expansion against the table.  Since ``l3 = (a^2+a) E^2 + h^m l4``, the
+``l3`` lower bound is built from ``l4``.  Two certifiers are provided, each
+with one ordered table of its keys and the claim certified for each
+(``DIRECT_CLAIMS``, ``ROUTE_CLAIMS``):
 
 * :func:`sufficient_route_check` follows the decomposition route (gamma
   condition, concavity and endpoint signs), which is sufficient but not
@@ -93,8 +96,8 @@ ROUTE_CLAIMS = {
 
 DIRECT_KEYS, ROUTE_KEYS = tuple(DIRECT_CLAIMS), tuple(ROUTE_CLAIMS)
 
-# Each direct key's expression where the names differ (l3 less the slackened bound).
-_DIRECT_EXPRESSIONS = {"l1_direct": "l1", "l3_lower_bound": "l3"}
+# Each direct key's expression where the names differ; the l3 bound is built from l4.
+_DIRECT_EXPRESSIONS = {"l1_direct": "l1", "l3_lower_bound": "l4"}
 
 # Relative slack on the l3 lower bound so the certified claim does not sit
 # exactly on the bound.
@@ -182,12 +185,7 @@ def _scalar_check(value: float, where: Optional[float], claim: str) -> SignVerdi
             return SignVerdict(SignKind.NON_NEGATIVE_WITH_ZEROS, zeros=zeros)
         return SignVerdict(SignKind.NEGATIVE_SOMEWHERE, margin=value, witness=where)
     if claim == "<=":
-        if value < 0.0:
-            return SignVerdict(SignKind.NON_POSITIVE_WITH_ZEROS, margin=-value)
-        if value == 0.0:
-            zeros = (where,) if where is not None else ()
-            return SignVerdict(SignKind.NON_POSITIVE_WITH_ZEROS, margin=0.0, zeros=zeros)
-        return SignVerdict(SignKind.POSITIVE_SOMEWHERE, margin=value, witness=where)
+        return _scalar_check(-value, where, ">=").mirrored()
     raise ValueError(f"unknown claim {claim!r}")
 
 
@@ -202,11 +200,6 @@ def _profile(params: WeightParams) -> tuple[PowerSum, PowerSum, PowerSum]:
     return f, fp, fp.derivative()
 
 
-_H = PowerSum.monomial(1.0, 1.0)            # h
-_H2 = PowerSum.monomial(1.0, 2.0)           # h^2
-_ONE_MINUS_H2 = PowerSum.constant(1.0) - _H2
-
-
 def gamma_condition(params: WeightParams) -> float:
     """Margin of ``(2g-1)a^2 >= g^2 (a^2 - g^2 (m-1)/4)``; >= 0 means it holds."""
     a2 = params.alpha * params.alpha
@@ -216,40 +209,34 @@ def gamma_condition(params: WeightParams) -> float:
 
 def build_l(key: str, params: WeightParams) -> PowerSum:
     """The expression ``key`` of the module's table at ``params``; ValueError on any other key."""
-    return _build(key, params, None if key == "l4" else _profile(params))
-
-
-def _build(key: str, params: WeightParams, profile: Optional[tuple]) -> PowerSum:
-    """``build_l(key, params)`` from ``profile = _profile(params)``, which l4 does not read."""
     a, m = params.alpha, params.m
-    if key == "l4":
-        em = math.pow(params.epsilon, m)
-        return PowerSum(((a * a + a - m * m - m, m), (m * m, m - 2.0),
-                         (-(2.0 * a * a + 2.0 * a - m) * em, 0.0)))
-    f, fp, fpp = profile
+    a2, m2, e = a * a, m * m, math.pow(params.epsilon, m)
     if key == "lemma31_i":
-        return f
-    if key == "lemma31_ii":
-        return fpp
-    if key == "lemma31_iii":
-        return (a * a - 2.0 * a) * f + (3.0 - 2.0 * a) * (_H * fp) + _H2 * fpp
-    if key == "lemma31_iv":
-        return (a - 1.0) ** 2 * (fp * fp) + (2.0 * a - a * a) * (f * fpp) - _H * fp * fpp
-    if key == "l1":
-        f2, fp2 = f * f, fp * fp
-        return (
-            a ** 4 * (f2 * f)
-            - a * a * (_H * f2 * fp)
-            + 2.0 * a * a * (_ONE_MINUS_H2 * f * fp2)
-            - 2.0 * (_H * _ONE_MINUS_H2 * (fp2 * fp))
-            + _ONE_MINUS_H2 * _ONE_MINUS_H2 * fp2 * fpp
-        )
-    if key == "l2":
-        coef = a * a - params.gamma ** 2 * (m - 1.0) / 4.0
-        return coef * f - _H * fp + 0.5 * (_ONE_MINUS_H2 * fpp)
-    if key == "l3":
-        return (a * a + a) * (f * f) - _H * f * fp + _ONE_MINUS_H2 * (fp * fp)
-    raise ValueError(f"unknown expression {key!r}")
+        terms = ((1.0, m), (-e, 0.0))
+    elif key == "lemma31_ii":
+        terms = ((m * (m - 1.0), m - 2.0),)
+    elif key == "lemma31_iii":
+        terms = (((m - a) * (m - a + 2.0), m), ((2.0 * a - a2) * e, 0.0))
+    elif key == "lemma31_iv":
+        terms = ((m * ((a - 1.0) ** 2 - (m - 1.0) ** 2), 2.0 * m - 2.0),
+                 (-(2.0 * a - a2) * m * (m - 1.0) * e, m - 2.0))
+    elif key == "l1":
+        terms = ((-a2 * a2 * e * e * e, 0.0), (a2 * (3.0 * a2 - m) * e * e, m),
+                 (a2 * (2.0 * (m + m2) - 3.0 * a2) * e, 2.0 * m),
+                 ((m2 + m - a2) * (m2 - a2), 3.0 * m), (-2.0 * a2 * m2 * e, 2.0 * m - 2.0),
+                 (2.0 * m2 * (a2 - m2), 3.0 * m - 2.0), (m2 * m * (m - 1.0), 3.0 * m - 4.0))
+    elif key == "l2":
+        coef = a2 - params.gamma ** 2 * (m - 1.0) / 4.0
+        half = 0.5 * (m * (m - 1.0))
+        terms = ((-coef * e, 0.0), (half, m - 2.0), (coef - m - half, m))
+    elif key == "l3":
+        terms = (((a2 + a) * e * e, 0.0), (-(2.0 * (a2 + a) - m) * e, m),
+                 (m2, 2.0 * m - 2.0), (a2 + a - m2 - m, 2.0 * m))
+    elif key == "l4":
+        terms = ((a2 + a - m2 - m, m), (m2, m - 2.0), (-(2.0 * a2 + 2.0 * a - m) * e, 0.0))
+    else:
+        raise ValueError(f"unknown expression {key!r}")
+    return PowerSum(terms)
 
 
 def l1_boundary_law(params: WeightParams) -> float:
@@ -300,13 +287,13 @@ def direct_feasibility(params: WeightParams, tol: float = DEFAULT_TOL) -> Condit
     role here; it is a device of the sufficient route only.  Indeterminate
     certifications make the report indeterminate rather than infeasible.
     """
-    eps, a = params.epsilon, params.alpha
+    eps, a, m = params.epsilon, params.alpha, params.m
     region = Interval(eps, 1.0)
-    profile = _profile(params)
-    exprs = {key: _build(_DIRECT_EXPRESSIONS.get(key, key), params, profile)
-             for key in DIRECT_CLAIMS}
-    bound = (a * a + a) * math.pow(eps, params.m) ** 2
-    exprs["l3_lower_bound"] -= PowerSum.constant(bound * (1.0 - _L3_SLACK))
+    exprs = {key: build_l(_DIRECT_EXPRESSIONS.get(key, key), params) for key in DIRECT_CLAIMS}
+    # l3 - (a^2+a) E^2 = h^m l4, so l3 less the slackened bound is h^m l4 plus the slack
+    slack = _L3_SLACK * (a * a + a) * math.pow(eps, m) ** 2
+    exprs["l3_lower_bound"] = PowerSum(
+        tuple((c, p + m) for c, p in exprs["l3_lower_bound"].terms) + ((slack, 0.0),))
     return _report({
         key: certify_sign(exprs[key], region, claim,
                           known_zeros=(eps,) if key == "lemma31_i" else (), tol=tol)

@@ -85,9 +85,12 @@ def sample_cone_points(
 
 
 def _coefficient_identity_l3(params: WeightParams) -> IdentityResult:
+    """``l3`` by the product rule from f, f', f'' against ``(a^2+a) E^2 + h^m l4``."""
     a = params.alpha
     const = (a * a + a) * math.pow(params.epsilon, params.m) ** 2
-    l3 = conditions.build_l("l3", params)
+    f, fp, _ = conditions._profile(params)
+    h, one_minus_h2 = PowerSum.monomial(1.0, 1.0), PowerSum(((1.0, 0.0), (-1.0, 2.0)))
+    l3 = (a * a + a) * (f * f) - h * f * fp + one_minus_h2 * (fp * fp)
     l4 = conditions.build_l("l4", params)
     diff = l3 - PowerSum.monomial(1.0, params.m) * l4 - PowerSum.constant(const)
     scale = max(l3.max_abs_coefficient(), 1.0)

@@ -181,39 +181,46 @@ class TestInterval:
 
     def test_monotone_square(self):
         p = PowerSum.monomial(1.0, 2.0)
-        enc = p.eval_interval(Interval(0.5, 1.0))
-        assert enc.lo == pytest.approx(0.25, rel=1e-12)
-        assert enc.hi == pytest.approx(1.0, rel=1e-12)
-        assert enc.lo <= 0.25 and enc.hi >= 1.0
+        lo, hi = p.eval_interval(0.5, 1.0)
+        assert lo == pytest.approx(0.25, rel=1e-12)
+        assert hi == pytest.approx(1.0, rel=1e-12)
+        assert lo <= 0.25 and hi >= 1.0
 
     def test_constant_interval(self):
         p = PowerSum.constant(-2.0)
-        enc = p.eval_interval(Interval(0.1, 0.9))
-        assert enc.lo == pytest.approx(-2.0, rel=1e-12)
-        assert enc.hi == pytest.approx(-2.0, rel=1e-12)
-        assert enc.contains(-2.0)
+        lo, hi = p.eval_interval(0.1, 0.9)
+        assert lo == pytest.approx(-2.0, rel=1e-12)
+        assert hi == pytest.approx(-2.0, rel=1e-12)
+        assert lo <= -2.0 <= hi
 
     def test_profile_enclosure(self):
         # h^2.46 - 0.6^2.46 on [0.6, 1]: increasing, range [0, 1 - 0.6^2.46]
         p = build_f(2.46, 0.6)
-        enc = p.eval_interval(Interval(0.6, 1.0))
+        lo, hi = p.eval_interval(0.6, 1.0)
         top = 1.0 - math.exp(2.46 * math.log(0.6))
         assert top == pytest.approx(0.71542, abs=1e-4)
-        assert enc.lo == pytest.approx(0.0, abs=1e-12)
-        assert enc.hi == pytest.approx(top, rel=1e-10)
-        assert enc.lo <= 0.0 <= enc.hi
+        assert lo == pytest.approx(0.0, abs=1e-12)
+        assert hi == pytest.approx(top, rel=1e-10)
+        assert lo <= 0.0 <= hi
 
     def test_interval_eval_rejects_nonpositive_region(self):
         p = PowerSum.monomial(1.0, 1.0)
-        with pytest.raises(ValueError):
-            p.eval_interval(Interval(0.0, 1.0))
+        for lo in (0.0, -0.5, math.nan):
+            with pytest.raises(ValueError):
+                p.eval_interval(lo, 1.0)
+
+    def test_interval_eval_rejects_empty_region(self):
+        p = PowerSum.monomial(1.0, 1.0)
+        for lo, hi in ((0.8, 0.5), (0.5, math.nan)):
+            with pytest.raises(ValueError):
+                p.eval_interval(lo, hi)
 
     def test_enclosure_soundness(self):
         # 1000 random point evaluations land inside the interval evaluation
         for p, lo, hi, rng in enclosure_cases(3, 50):
-            enc = p.eval_interval(Interval(lo, hi))
+            enc_lo, enc_hi = p.eval_interval(lo, hi)
             for h in rng.uniform(lo, hi, size=20):
-                assert enc.contains(p.eval(float(h)))
+                assert enc_lo <= p.eval(float(h)) <= enc_hi
 
     def test_matches_reference_arithmetic_bitwise(self):
         # the fused float loop against per-operation interval arithmetic
@@ -225,13 +232,14 @@ class TestInterval:
         # point regions too, whose enclosure computes each power once
         for p, lo, hi, _ in cases:
             for a, b in ((lo, hi), (lo, lo), (hi, hi), (0.5 * (lo + hi),) * 2):
-                enc = p.eval_interval(Interval(a, b))
-                assert (enc.lo, enc.hi) == reference_eval_interval(p, a, b)
+                assert p.eval_interval(a, b) == reference_eval_interval(p, a, b)
 
     def test_overflow_is_rejected(self):
         p = PowerSum(((1e308, 0.0), (1e308, 1.0)))
         with pytest.raises(ValueError):
-            p.eval_interval(Interval(0.5, 1.0))
+            p.eval_interval(0.5, 1.0)
+        with pytest.raises(ValueError):
+            PowerSum.monomial(1.0, 2.0).eval_interval(0.5, math.inf)
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(
@@ -248,12 +256,12 @@ class TestInterval:
         # centred bound
         lo, hi = sorted(ends)
         p = PowerSum(tuple((c, float(q)) for c, q in terms))
-        enc = p.eval_interval(Interval(lo, hi))
-        bound = max(enc.lo, _centred_lower(p, p.derivative(), lo, hi))
+        enc_lo, enc_hi = p.eval_interval(lo, hi)
+        bound = max(enc_lo, _centred_lower(p, p.derivative(), lo, hi))
         flo, fhi = Fraction(lo), Fraction(hi)
         for h in [flo, fhi] + [flo + t * (fhi - flo) for t in points]:
             exact = sum((Fraction(c) * h ** int(q) for c, q in p.terms), Fraction(0))
-            assert Fraction(bound) <= exact <= Fraction(enc.hi)
+            assert Fraction(bound) <= exact <= Fraction(enc_hi)
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(
@@ -285,7 +293,7 @@ class TestInterval:
         for w in (1e-3, 1e-4, 1e-5):
             lo, hi = 0.971094 - w / 2, 0.971094 + w / 2
             least = min(l1.eval(float(x)) for x in np.linspace(lo, hi, 101))
-            excess.append((least - l1.eval_interval(Interval(lo, hi)).lo,
+            excess.append((least - l1.eval_interval(lo, hi)[0],
                            least - _centred_lower(l1, l1.derivative(), lo, hi)))
         for (first, centred), (first_next, centred_next) in zip(excess, excess[1:]):
             assert 0.0 < centred < first
@@ -374,9 +382,9 @@ class TestCertifySign:
         calls = []
         original = PowerSum.eval_interval
 
-        def counted(self, region):
-            calls.append((self, region))
-            return original(self, region)
+        def counted(self, lo, hi):
+            calls.append((self, lo, hi))
+            return original(self, lo, hi)
 
         monkeypatch.setattr(PowerSum, "eval_interval", counted)
         cubic = PowerSum(((1.0, 3.0), (-0.25, 1.0)))  # zero at h = 0.5
@@ -393,9 +401,9 @@ class TestCertifySign:
             monkeypatch.setattr(algebra, "_MAX_DEPTH", depth)
             v = certify_sign(p, Interval(lo, hi), claim, known_zeros=zeros)
             leaves = v.leaves_margin + v.leaves_zero + v.leaves_exhausted
-            centred = [r for q, r in calls if q == p and r.lo == r.hi]
+            centred = [lo for q, lo, hi in calls if q == p and lo == hi]
             assert v.nodes == 2 * leaves - 1
-            assert sum(q == p.derivative() for q, _ in calls) == len(centred)
+            assert sum(q == p.derivative() for q, _, _ in calls) == len(centred)
             assert len(calls) == v.nodes + 2 * len(centred)
             assert (v.nodes, len(calls)) == work
             assert 0 < v.max_depth <= depth

@@ -1,4 +1,6 @@
+import itertools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -221,15 +223,19 @@ class TestDirectFeasibility:
         assert r1 == r2
 
     def test_certifies_build_l_expressions_key_by_key(self, monkeypatch):
-        # l1_direct is l1, and l3_lower_bound is l3 less (a^2+a) eps^(2m) (1 - 1e-9)
+        # l1_direct is l1, and l3_lower_bound is l3 less (a^2+a) eps^(2m) (1 - 1e-9),
+        # built as h^m l4 plus the slack, so it matches to rounding
         certified = force_direct_verdicts(monkeypatch)
         direct_feasibility(PARAMS)
         a, m, eps = PARAMS.alpha, PARAMS.m, PARAMS.epsilon
         bound = (a * a + a) * math.pow(eps, m) ** 2 * (1.0 - 1e-9)
         expected = {key: build_l(key, PARAMS) for key in LEMMA31_KEYS}
         expected["l1_direct"] = build_l("l1", PARAMS)
-        expected["l3_lower_bound"] = build_l("l3", PARAMS) - PowerSum.constant(bound)
+        l3 = build_l("l3", PARAMS)
+        lower = l3 - PowerSum.constant(bound)
         assert list(certified) == list(DIRECT_KEYS)
+        diff = certified.pop("l3_lower_bound") - lower
+        assert diff.max_abs_coefficient() <= 1e-15 * l3.max_abs_coefficient()
         assert certified == expected
 
     def test_unresolved_key_makes_the_report_indeterminate(self, monkeypatch):
@@ -269,7 +275,8 @@ def force_direct_verdicts(monkeypatch, **forced):
 
 # Verdicts, margins, witnesses and eval_interval call counts recorded with
 # the per-operation interval arithmetic (reference_eval_interval in
-# test_algebra.py) and the certifier's centred bound, at alpha = 1.999: a
+# test_algebra.py), the certifier's centred bound and each key's closed form
+# in E = eps^m, at alpha = 1.999: a
 # feasible point, a point refuted at h = epsilon by the boundary law, one
 # that bisection refutes, and a feasible point just below the m = 2.9
 # frontier.  The calls are the nodes, plus for each node that its
@@ -279,33 +286,33 @@ RECORDED = [
     ((2.46, 0.6), "feasible", 70, {
         "lemma31_i": ("NON_NEGATIVE_WITH_ZEROS", 0.0, None),
         "lemma31_ii": ("POSITIVE", 2.8394716573791805, None),
-        "lemma31_iii": ("POSITIVE", 0.32346638770911307, None),
-        "lemma31_iv": ("NON_POSITIVE_WITH_ZEROS", 0.629090172586764, None),
-        "l1_direct": ("POSITIVE", 0.000555315261079547, None),
+        "lemma31_iii": ("POSITIVE", 0.3234663877091131, None),
+        "lemma31_iv": ("NON_POSITIVE_WITH_ZEROS", 0.6290901725867636, None),
+        "l1_direct": ("POSITIVE", 0.000555315261079436, None),
         "l3_lower_bound": ("POSITIVE", 0.08823073348641122, None),
     }),
     ((2.46, 0.8), "infeasible", 6, {
         "lemma31_i": ("NON_NEGATIVE_WITH_ZEROS", 0.0, None),
         "lemma31_ii": ("POSITIVE", 3.241226320127367, None),
-        "lemma31_iii": ("POSITIVE", 0.6564149303666159, None),
-        "lemma31_iv": ("NON_POSITIVE_WITH_ZEROS", 1.4572498246966499, None),
-        "l1_direct": ("NEGATIVE_SOMEWHERE", -1.9017510199100198, 0.8),
-        "l3_lower_bound": ("NEGATIVE_SOMEWHERE", -0.8643032084154905, 0.8),
+        "lemma31_iii": ("POSITIVE", 0.6564149303666161, None),
+        "lemma31_iv": ("NON_POSITIVE_WITH_ZEROS", 1.4572498246966488, None),
+        "l1_direct": ("NEGATIVE_SOMEWHERE", -1.901751019910017, 0.8),
+        "l3_lower_bound": ("NEGATIVE_SOMEWHERE", -0.86430320841549, 0.8),
     }),
     ((2.9, 0.6323693847656251), "infeasible", 110, {
         "lemma31_i": ("NON_NEGATIVE_WITH_ZEROS", 0.0, None),
         "lemma31_ii": ("POSITIVE", 3.647752395106563, None),
-        "lemma31_iii": ("POSITIVE", 0.6925002905580919, None),
-        "lemma31_iv": ("NON_POSITIVE_WITH_ZEROS", 1.3295088384077218, None),
-        "l1_direct": ("NEGATIVE_SOMEWHERE", -0.0004273194751789333, 0.9712788581848144),
+        "lemma31_iii": ("POSITIVE", 0.6925002905580918, None),
+        "lemma31_iv": ("NON_POSITIVE_WITH_ZEROS", 1.3295088384077216, None),
+        "l1_direct": ("NEGATIVE_SOMEWHERE", -0.00042731947518248603, 0.9712788581848144),
         "l3_lower_bound": ("POSITIVE", 0.2717614492752283, None),
     }),
     ((2.9, 0.6323095703125), "feasible", 388, {
         "lemma31_i": ("NON_NEGATIVE_WITH_ZEROS", 0.0, None),
         "lemma31_ii": ("POSITIVE", 3.6474418639254913, None),
-        "lemma31_iii": ("POSITIVE", 0.6923103515207596, None),
-        "lemma31_iv": ("NON_POSITIVE_WITH_ZEROS", 1.3290310312903475, None),
-        "l1_direct": ("POSITIVE", 2.1996596200053536e-06, None),
+        "lemma31_iii": ("POSITIVE", 0.6923103515207595, None),
+        "lemma31_iv": ("NON_POSITIVE_WITH_ZEROS", 1.3290310312903473, None),
+        "l1_direct": ("POSITIVE", 2.1996596235580673e-06, None),
         "l3_lower_bound": ("POSITIVE", 0.27229549017473154, None),
     }),
 ]
@@ -316,15 +323,15 @@ def test_direct_feasibility_matches_recorded(monkeypatch, point, overall, calls,
     seen = []
     original = PowerSum.eval_interval
 
-    def counted(self, region):
-        seen.append(region)
-        return original(self, region)
+    def counted(self, lo, hi):
+        seen.append(lo == hi)
+        return original(self, lo, hi)
 
     monkeypatch.setattr(PowerSum, "eval_interval", counted)
     m, eps = point
     rep = direct_feasibility(WeightParams(m=m, alpha=1.999, gamma=1.0, epsilon=eps))
     assert rep.overall == overall
-    centred = sum(r.lo == r.hi for r in seen)
+    centred = sum(seen)
     assert len(seen) == calls == sum(v.nodes for v in rep.checks.values()) + 2 * centred
     got = {k: (v.kind.name, v.margin, v.witness) for k, v in rep.checks.items()}
     assert got == checks
@@ -337,3 +344,78 @@ def test_certificate_near_the_double_root_closes():
     rep = direct_feasibility(WeightParams(m=2.9, alpha=1.999, gamma=1.0, epsilon=0.6323338))
     assert rep.overall == "feasible"
     assert sum(v.nodes for v in rep.checks.values()) <= 2000
+
+
+def product_rule_terms(params, h):
+    """Each key of the ``conditions`` table at ``h`` by its product rule in f, f', f''.
+
+    A key's value is the sum of the returned terms, its full expansion into
+    monomials, and the sum of their magnitudes is the scale its rounding
+    error is measured against.
+    """
+    m, a, g = params.m, params.alpha, params.gamma
+    e = math.pow(params.epsilon, m)
+    f, fp, fpp = [h ** m, -e], [m * h ** (m - 1.0)], [m * (m - 1.0) * h ** (m - 2.0)]
+    hh, q = [h], [1.0, -h * h]
+
+    def mul(*factors):
+        return [math.prod(t) for t in itertools.product(*factors)]
+
+    def scaled(c, terms):
+        return [c * t for t in terms]
+
+    return {
+        "lemma31_i": f,
+        "lemma31_ii": fpp,
+        "lemma31_iii": (scaled(a * a - 2 * a, f) + scaled(3 - 2 * a, mul(hh, fp))
+                        + mul(hh, hh, fpp)),
+        "lemma31_iv": (scaled((a - 1) ** 2, mul(fp, fp)) + scaled(2 * a - a * a, mul(f, fpp))
+                       + scaled(-1.0, mul(hh, fp, fpp))),
+        "l1": (scaled(a ** 4, mul(f, f, f)) + scaled(-a * a, mul(hh, f, f, fp))
+               + scaled(2 * a * a, mul(q, f, fp, fp)) + scaled(-2.0, mul(hh, q, fp, fp, fp))
+               + mul(q, q, fp, fp, fpp)),
+        "l2": (scaled(a * a - g * g * (m - 1) / 4, f) + scaled(-1.0, mul(hh, fp))
+               + scaled(0.5, mul(q, fpp))),
+        "l3": scaled(a * a + a, mul(f, f)) + scaled(-1.0, mul(hh, f, fp)) + mul(q, fp, fp),
+        "l4": [(a * a + a - m * m - m) * h ** m, m * m * h ** (m - 2),
+               -(2 * a * a + 2 * a - m) * e],
+    }
+
+
+def test_closed_forms_match_the_product_rule():
+    # every tenth draw has m = 2, where l1's h^(3m-4), h^(2m-2) and h^m merge
+    rng = random.Random(33)
+    keys = tuple(product_rule_terms(PARAMS, 1.0))
+    for i in range(2000):
+        params = WeightParams(m=2.0 if i % 10 == 0 else rng.uniform(1.0 + 1e-9, 3.0 - 1e-9),
+                              alpha=rng.uniform(1.0 + 1e-9, 2.0),
+                              gamma=rng.uniform(0.5 + 1e-9, 1.0),
+                              epsilon=rng.uniform(1e-9, 1.0 - 1e-9))
+        built = {key: build_l(key, params) for key in keys}
+        if params.m == 2.0:
+            assert len(built["l1"].terms) == 4
+        for h in (params.epsilon, 0.5 * (params.epsilon + 1.0), 1.0):
+            for key, terms in product_rule_terms(params, h).items():
+                err = abs(built[key].eval(h) - math.fsum(terms))
+                assert err <= 1e-13 * math.fsum(map(abs, terms)), (key, params, h, err)
+
+
+def test_certificates_construct_few_power_sums(monkeypatch):
+    # each key is one closed-form PowerSum, with no product: a direct
+    # certificate builds its six keys, the l3 bound from l4, the mirror's
+    # negation and one derivative per key it bisects; a route certificate
+    # builds l2, l4 and l4's first two derivatives
+    built = []
+    original = PowerSum.__post_init__
+
+    def counted(self):
+        built.append(self)
+        original(self)
+
+    monkeypatch.setattr(PowerSum, "__post_init__", counted)
+    params = WeightParams(m=2.46, alpha=1.99, gamma=0.8092, epsilon=0.6)
+    direct_feasibility(params)
+    assert len(built) <= 15
+    built.clear()
+    sufficient_route_check(params)
+    assert len(built) <= 7
