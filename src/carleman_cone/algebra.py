@@ -36,7 +36,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from operator import itemgetter
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 __all__ = [
     "Interval",
@@ -250,8 +250,8 @@ class SignKind(Enum):
     INDETERMINATE = "indeterminate"
 
 
-@dataclass(frozen=True)
-class SignVerdict:
+# A NamedTuple, not a frozen dataclass: a check builds 16, each in a third of the time.
+class SignVerdict(NamedTuple):
     """Result of a sign certification.
 
     margin   for certified kinds, the least leaf lower bound (a leaf's is
@@ -299,11 +299,9 @@ class SignVerdict:
     def mirrored(self) -> "SignVerdict":
         """Verdict about ``-p`` re-expressed as a verdict about ``p``."""
         kind, margin = _MIRROR_KIND[self.kind], self.margin
-        return SignVerdict(
+        return SignVerdict._make((  # the work counts, fields 5 on, carry over
             kind, -margin if kind in _SOMEWHERE else margin, self.witness, self.zeros,
-            None if self.residual is None else -self.residual, self.nodes,
-            self.max_depth, self.leaves_margin, self.leaves_zero, self.leaves_exhausted,
-        )
+            None if self.residual is None else -self.residual, *self[5:]))
 
 
 _MIRROR_KIND = {

@@ -16,10 +16,10 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import json
 import math
 import sys
 from dataclasses import asdict, make_dataclass
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any, Callable, NamedTuple, Optional, Sequence
 
@@ -130,17 +130,18 @@ class _Parser(argparse.ArgumentParser):
 
 
 @functools.lru_cache(maxsize=1)
-def _build_parser() -> _Parser:
-    """The argparse tree of every subcommand, built on first use and then reused.
+def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
+    """The argparse tree of every subcommand, and each subcommand's parser in it.
 
-    Not built at import, which every process pays for.  ``parse_args``
-    leaves the parser as it was, so one instance serves every call.
+    Built on first use, not at import, which every process pays for, and
+    then reused: ``parse_args`` leaves a parser as it was.
     """
     parser = _Parser(prog="carleman-cone")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command")
     for name, command in _COMMANDS.items():
         p = sub.add_parser(name)
+        p.set_defaults(command=name)
         for key in command.flags:
             flag = "--" + key.replace("_", "-")
             if key == "a":
@@ -149,7 +150,7 @@ def _build_parser() -> _Parser:
                 p.add_argument(flag, type=_KEYS[key].parse)
         p.add_argument("--json", action="store_const", const=True, default=None)
         p.add_argument("--config", type=str)
-    return parser
+    return parser, sub.choices
 
 
 def _read_config_file(text: str) -> dict[str, Any]:
@@ -180,7 +181,10 @@ def parse_config(argv: Sequence[str], file_text: Optional[str] = None) -> RunCon
     pass its key's rule (``_KEYS``) and the rules tying keys together
     (``_validate``).
     """
-    ns = _build_parser().parse_args(list(argv))
+    parser, commands = _build_parser()
+    if argv and argv[0] in commands:  # the subcommand's parser, as the tree would hand it the rest
+        parser, argv = commands[argv[0]], argv[1:]
+    ns = parser.parse_args(argv)  # else the tree's: --version, -h, a missing or unknown subcommand
     if ns.command is None:
         raise UsageError(f"missing subcommand (one of {', '.join(_COMMANDS)})")
 
@@ -279,10 +283,38 @@ def _flatten(prefix: str, value: Any, out: list[str]) -> None:
         out.append(f"{prefix}: {value}")
 
 
+_JSON_NONFINITE = {math.inf: "Infinity", -math.inf: "-Infinity"}  # with "NaN", json.dumps's names
+_JSON_SCALARS = {  # how json.dumps writes each scalar type
+    str: encode_basestring_ascii, int: int.__repr__, type(None): lambda v: "null",
+    bool: lambda v: "true" if v else "false",
+    float: lambda v: float.__repr__(v) if math.isfinite(v) else _JSON_NONFINITE.get(v, "NaN"),
+}
+
+
+def _json(value: Any, pad: str = "\n") -> str:
+    """``json.dumps(value, indent=2)`` byte for byte, dict keys being str.
+
+    ``pad`` starts each line at ``value``'s depth.  With ``indent`` set the stdlib leaves
+    its C encoder for a pure-Python one, which costs a check envelope half again as much.
+    """
+    inner = pad + "  "  # an item of a scalar type is written without a call of _json
+    if isinstance(value, dict):
+        items = [encode_basestring_ascii(k) + ": " + (w(v) if (w := _JSON_SCALARS.get(type(v)))
+                 else _json(v, inner)) for k, v in value.items()]
+        return "{" + inner + ("," + inner).join(items) + pad + "}" if items else "{}"
+    if isinstance(value, (list, tuple)):
+        items = [w(v) if (w := _JSON_SCALARS.get(type(v))) else _json(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + pad + "]" if items else "[]"
+    for kind in type(value).__mro__:  # a scalar, of a subclass too (numpy's float64)
+        if kind in _JSON_SCALARS:
+            return _JSON_SCALARS[kind](value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def _emit(cfg: RunConfig, envelope: dict[str, Any], stream=None) -> None:
     stream = stream or sys.stdout
     if cfg.json:
-        stream.write(json.dumps(envelope, indent=2) + "\n")
+        stream.write(_json(envelope) + "\n")
     else:
         lines: list[str] = []
         _flatten("", {"command": envelope["command"],

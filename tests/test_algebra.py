@@ -15,6 +15,7 @@ from carleman_cone.algebra import (
     Interval,
     PowerSum,
     SignKind,
+    SignVerdict,
     certify_sign,
 )
 from carleman_cone.conditions import build_l
@@ -428,6 +429,20 @@ class TestCertifySign:
         assert w.kind is SignKind.NON_POSITIVE_WITH_ZEROS
         assert [getattr(w, k) for k in counts] == [getattr(v, k) for k in counts]
         assert v.mirrored().mirrored() == v
+
+    def test_verdict_is_immutable_and_keeps_its_repr(self):
+        v = SignVerdict(SignKind.INDETERMINATE, margin=-0.25, zeros=(0.5,),
+                        residual=Interval(-0.25, 1.5), nodes=3, max_depth=1, leaves_margin=1,
+                        leaves_exhausted=1)
+        for field in ("kind", "margin", "witness", "zeros", "residual", "nodes", "max_depth",
+                      "leaves_margin", "leaves_zero", "leaves_exhausted"):
+            with pytest.raises(AttributeError):
+                setattr(v, field, None)
+        assert repr(v) == (
+            "SignVerdict(kind=<SignKind.INDETERMINATE: 'indeterminate'>, margin=-0.25, "
+            "witness=None, zeros=(0.5,), residual=[-0.25, 1.5], nodes=3, max_depth=1, "
+            "leaves_margin=1, leaves_zero=0, leaves_exhausted=1)")
+        assert repr(v.mirrored()) == repr(v).replace("[-0.25, 1.5]", "[-1.5, 0.25]")
 
     def test_depth_monotonicity(self, monkeypatch):
         # increasing the depth cap only resolves INDETERMINATE; certified and

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from carleman_cone import cli, quad
+from carleman_cone import __version__, cli, quad
 from carleman_cone.algebra import SignKind, SignVerdict
 from carleman_cone.cli import (_GRID_MAX, _M_GRID_MAX, UsageError, _parse_m_grid, execute, main,
                                parse_config)
@@ -30,6 +30,21 @@ OUT_OF_DOMAIN = (
     ("gamma", "0.4"), ("max_iter", "0"), ("tol", "-1"), ("dim", "4"), ("family", "beta"),
     ("init", "0.4,2.5,0.6"), ("m_grid", "1:5:3"), ("json", "ture"), ("csv", ""),
 )
+
+CHECK_HELP = """\
+usage: carleman-cone check [-h] [--m M] [--alpha ALPHA] [--gamma GAMMA]
+                           [--eps EPS] [--tol TOL] [--json] [--config CONFIG]
+
+options:
+  -h, --help       show this help message and exit
+  --m M
+  --alpha ALPHA
+  --gamma GAMMA
+  --eps EPS
+  --tol TOL
+  --json
+  --config CONFIG
+"""
 
 
 def run(argv):
@@ -60,10 +75,6 @@ class TestParseConfig:
     def test_frontier_m_out_of_range(self):
         with pytest.raises(UsageError, match=r"m.*\(2, 3\)"):
             parse_config(["frontier", "--m", "5"])
-
-    def test_unknown_flag_rejected(self):
-        with pytest.raises(UsageError):
-            parse_config(["solve", "--bogus", "1"])
 
     @pytest.mark.parametrize("argv", [
         ["solve", "--csv", "out.csv", "--K", "5"],
@@ -106,9 +117,36 @@ class TestParseConfig:
     def test_json_spellings(self, text, value):
         assert parse_config(["gamma1"], f"json = {text}\n").json is value
 
-    def test_missing_subcommand(self):
-        with pytest.raises(UsageError):
-            parse_config([])
+    @pytest.mark.parametrize("argv, message", [
+        (["solve", "--bogus", "1"], "unrecognized arguments: --bogus 1"),
+        (["check", "--m", "x"], "argument --m: invalid float value: 'x'"),
+        (["check", "--m"], "argument --m: expected one argument"),
+        (["chek"], "argument command: invalid choice: 'chek' (choose from 'solve', 'gamma1', "
+                   "'check', 'frontier', 'scan', 'quadrature', 'identities')"),
+        ([], "missing subcommand (one of solve, gamma1, check, frontier, scan, quadrature, "
+             "identities)"),
+    ], ids=["unknown_flag", "bad_float", "missing_value", "unknown_subcommand",
+            "missing_subcommand"])
+    def test_usage_error_text(self, argv, message):
+        with pytest.raises(UsageError) as info:
+            parse_config(argv)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("argv, stdout", [
+        (["--version"], f"{__version__}\n"),
+        (["check", "-h"], CHECK_HELP),
+    ], ids=["version", "check_help"])
+    def test_version_and_help_exit_0(self, argv, stdout, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal's width
+        with pytest.raises(SystemExit) as info:
+            parse_config(argv)
+        assert info.value.code == 0
+        assert capsys.readouterr() == (stdout, "")
+
+    def test_flag_prefix_names_the_flag(self):
+        # argparse reads an unambiguous prefix as the whole flag
+        cfg = parse_config(["check", "--al", "1.99"])
+        assert (cfg.alpha, cfg.m, cfg.eps) == (1.99, 2.46, 0.6)
 
     def test_m_grid_parsing(self):
         cfg = parse_config(["scan", "--m-grid", "2.1:2.9:9"])
@@ -217,6 +255,27 @@ class TestEnvelope:
         buf = io.StringIO()
         assert execute(cfg, stream=buf) == code
         assert buf.getvalue() == text
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=4)),
+    max_leaves=16)
+
+
+class TestJsonWriter:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(JSON_VALUES)
+    @example([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.7976931348623157e308])
+    @example({"big": [2**63, -(2**63) - 1, 2**64 + 1, 10**40], "small": [0, -1, True, False]})
+    @example({"\u00e9\u2028\U0001f600": "\x00\x1f\x7f\"\\/\ud800", "": None})
+    @example({"a": {}, "b": [], "c": (), "d": [[], {}, ((),)], "e": {"f": {"g": []}}})
+    @example((np.float64(0.1), np.float64(math.nan), np.float64(-math.inf)))  # float subclasses
+    @example(1.5)
+    @example("text")
+    def test_matches_json_dumps_byte_for_byte(self, value):
+        assert cli._json(value) == json.dumps(value, indent=2)
 
 
 class TestSolveCommand:
